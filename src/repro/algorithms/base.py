@@ -24,9 +24,17 @@ import enum
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from ..core.views import View
+from ..core.views import MaskView, View
 from ..graph.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,6 +117,20 @@ class NodeContext:
         """The static local view: same topology, no broadcast state."""
         return self.env.make_view(self.view_graph, frozenset(), frozenset())
 
+    def mask_view(self, static: bool = False) -> MaskView:
+        """The current (or, ``static``, the stateless) local view as
+        masks over the node's compiled view: the bitset decide's input,
+        equal in verdicts to :meth:`view` / :meth:`static_view`."""
+        compiled = self.env.compiled_view(self.node, self.hops)
+        if static:
+            return MaskView(compiled, 0, 0)
+        index = compiled.index
+        return MaskView(
+            compiled,
+            index.mask_within(self.known_visited),
+            index.mask_within(self.known_designated),
+        )
+
     def priority(self, node: int) -> Tuple[float, ...]:
         """Priority of ``node`` under the current (dynamic) local view."""
         return self.view().priority(node)
@@ -147,12 +169,6 @@ class BroadcastProtocol(ABC):
     #: Backoff window for the FRB/FRBD timings; sized to dominate the MAC
     #: delay so that same-wave forwarders can be overheard during backoff.
     backoff_window: float = 10.0
-    #: Whether ``should_forward``/``designate`` are pure functions of the
-    #: :class:`NodeContext`'s knowledge fields (node, snooped state,
-    #: first packet).  The broadcast service reuses such decisions across
-    #: messages within one topology epoch; protocols that consult
-    #: ``ctx.rng`` or other per-call state (e.g. gossip) must opt out.
-    cacheable_decisions: bool = True
 
     def prepare(self, env: "SimulationEnvironment") -> None:
         """Per-deployment proactive computation (default: none)."""
@@ -170,6 +186,32 @@ class BroadcastProtocol(ABC):
     def designate(self, ctx: NodeContext) -> FrozenSet[int]:
         """Designated forward neighbors announced when forwarding."""
         return frozenset()
+
+    def decision_key(self, ctx: NodeContext) -> Optional[Hashable]:
+        """What this node's timer decision is a pure function of.
+
+        The broadcast service reuses ``should_forward``/``designate``
+        results across messages within one topology epoch under this
+        key, so it must hold everything those hooks read from ``ctx``
+        beyond the epoch's topology and metrics; ``None`` opts the
+        decision out of reuse.  The default is the node's full
+        knowledge: its snooped visited/designated/designator sets and
+        the first packet's content (sender, source, trail, piggybacked
+        2-hop set) without message identity, payload or TTL.
+        """
+        first = ctx.first_packet
+        if first is None:
+            return None
+        return (
+            ctx.node,
+            ctx.known_visited,
+            ctx.known_designated,
+            ctx.designators,
+            first.sender,
+            first.source,
+            first.trail,
+            first.sender_two_hop,
+        )
 
     def decision_delay(self, ctx: NodeContext, rng: random.Random) -> float:
         """Delay between first receipt and the status decision."""

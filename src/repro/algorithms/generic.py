@@ -18,9 +18,13 @@ visited nodes ("each node also knows the second last visited node").
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import FrozenSet, Hashable, Optional, Set
 
-from ..core.coverage import coverage_condition, strong_coverage_condition
+from ..core.coverage import (
+    coverage_backend,
+    coverage_condition,
+    strong_coverage_condition,
+)
 from .base import BroadcastProtocol, NodeContext, Timing
 from .designation import greedy_cover_designation
 
@@ -75,13 +79,29 @@ class GenericSelfPruning(BroadcastProtocol):
         self.name = f"generic-sp-{_TIMING_LABEL[timing]}-{radius}-{condition}"
 
     def should_forward(self, ctx: NodeContext) -> bool:
-        view = (
-            ctx.static_view() if self.timing is Timing.STATIC else ctx.view()
-        )
+        static = self.timing is Timing.STATIC
+        if coverage_backend() == "bitset":
+            view = ctx.mask_view(static)
+        else:
+            view = ctx.static_view() if static else ctx.view()
         condition = (
             strong_coverage_condition if self.strong else coverage_condition
         )
         return not condition(view, ctx.node)
+
+    def decision_key(self, ctx: NodeContext) -> Hashable:
+        """The node and its snooped state projected onto its view graph:
+        exactly the state masks of :meth:`NodeContext.mask_view`.
+
+        Exact: a view drops any status outside the view graph, metrics
+        are fixed within an epoch, and self-pruning designates nobody,
+        so nothing else reaches the decision.  ``STATIC`` timing reads
+        no broadcast state at all.
+        """
+        if self.timing is Timing.STATIC:
+            return ctx.node
+        view = ctx.mask_view()
+        return (ctx.node, view.visited, view.designated)
 
 
 class GenericStatic(BroadcastProtocol):

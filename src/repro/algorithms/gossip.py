@@ -37,9 +37,6 @@ class Gossip(BroadcastProtocol):
     timing = Timing.FIRST_RECEIPT
     hops = 1
     piggyback_h = 0
-    #: The coin flip makes every decision per-call state; the broadcast
-    #: service must not reuse it across messages.
-    cacheable_decisions = False
 
     def __init__(self, p: float = 0.7, sure_hops: int = 1) -> None:
         if not 0.0 <= p <= 1.0:
@@ -49,6 +46,11 @@ class Gossip(BroadcastProtocol):
         self.p = p
         self.sure_hops = sure_hops
         self.name = f"gossip-{p:g}"
+
+    def decision_key(self, ctx: NodeContext) -> None:
+        """No key: the coin flip makes every decision per-call state, so
+        the broadcast service must not reuse it across messages."""
+        return None
 
     def should_forward(self, ctx: NodeContext) -> bool:
         if self.sure_hops and ctx.first_packet is not None:

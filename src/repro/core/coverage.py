@@ -28,8 +28,14 @@ Three interchangeable implementations compute every predicate:
   higher-priority eligible set is a priority-threshold mask read off a
   per-view suffix table, components come from word-parallel flood-fills
   (:func:`repro.graph.nodeindex.flood_fill` replaces the union-find
-  pass), each neighbor's component reach is a bitmap so a pair check is
-  one ``&``, and domination is ``targets & ~cover == 0``.
+  pass), and each component's set of touching neighbors is one mask, so
+  each neighbor's replaceable partners (the pairs
+  :func:`uncovered_pairs` lists are the missing ones) and a component's
+  domination of ``N(v)`` are single mask operations.  A
+  :class:`~repro.core.views.MaskView` (a node's compiled view plus its
+  broadcast state as masks) skips the per-view table altogether: its
+  threshold mask is the node's static suffix with the status strata
+  OR-ed in.
 * ``sets`` — the original frozenset/union-find implementation, kept as
   the executable reference.
 * ``numpy`` — the batched word-table kernel
@@ -47,13 +53,13 @@ forward sets are byte-identical across them.
 from __future__ import annotations
 
 import os
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple, Union
 
 from ..graph.nodeindex import flood_fill
 from ..instrument import _STACK as _COUNTER_STACK
 from . import status as st
 from .unionfind import DisjointSet
-from .views import View, view_cache
+from .views import MaskView, View, view_cache
 
 __all__ = [
     "coverage_condition",
@@ -88,11 +94,13 @@ def _memo(view: View, key, compute):
     """Per-view memoisation for the coverage hot path.
 
     Views are immutable value objects, so any derived quantity — the
-    higher-priority decomposition, component membership, neighbor reach —
-    is stable for the view's lifetime and can be shared between
-    :func:`uncovered_pairs`, :func:`coverage_condition`, and
-    :func:`strong_coverage_condition` instead of being recomputed per
-    call.  The cache rides on the view instance itself (see
+    priority-threshold table, the higher-priority decomposition,
+    component membership, neighbor reach — is stable for the view's
+    lifetime and can be shared between calls instead of being recomputed.
+    The bitset backend memoises only its per-view base table (the one
+    layer that pays across calls: a shared view evaluated for many
+    nodes); the sets and numpy backends memoise their decompositions
+    too.  The cache rides on the view instance itself (see
     :func:`repro.core.views.view_cache`); keys carry the backend name
     wherever the computation differs per backend.
 
@@ -100,7 +108,7 @@ def _memo(view: View, key, compute):
     cache with the view graph's ``version_stamp()`` and resets it when
     the graph is mutated underneath the view (e.g. by
     ``Topology.apply_delta`` during a mobility sweep), so every memo
-    here — components, reach bitmaps, span paths — is invalidated as a
+    here — base tables, components, span paths — is invalidated as a
     unit the moment its topology input changes, and survives verbatim
     while the retained view graph stays untouched.
     """
@@ -181,21 +189,14 @@ def _mask_base(view: View) -> _MaskBase:
     return _memo(view, ("mask-base",), lambda: _MaskBase(view))
 
 
-def _component_masks(view: View, v: int) -> List[int]:
-    """Higher-priority components of ``v`` as masks (memoised)."""
-    return _memo(
-        view,
-        ("component-masks", v),
-        lambda: _component_masks_compute(view, v),
-    )
-
-
-def _component_masks_compute(view: View, v: int) -> List[int]:
+def _component_masks(
+    eligible: int, visited: int, masks: Tuple[int, ...]
+) -> List[int]:
+    """The components of ``eligible`` as masks, fusing those that hold a
+    ``visited`` node: all visited nodes are connected through the source
+    even when the view cannot see how (pass 0 to fuse nothing)."""
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].component_decompositions += 1
-    base = _mask_base(view)
-    eligible = base.eligible_mask(view, v)
-    masks = base.masks
     components: List[int] = []
     remaining = eligible
     while remaining:
@@ -204,56 +205,127 @@ def _component_masks_compute(view: View, v: int) -> List[int]:
         component = flood_fill(remaining & -remaining, eligible, masks)
         remaining &= ~component
         components.append(component)
-    if view.visited_connected:
-        visited = base.visited_mask & eligible
-        if visited:
-            # All visited nodes are connected through the source even when
-            # the view cannot see how: fuse their components into one.
-            merged = 0
-            separate: List[int] = []
-            for component in components:
-                if component & visited:
-                    merged |= component
-                else:
-                    separate.append(component)
-            if merged:
-                components = [merged] + separate
+    visited &= eligible
+    if visited:
+        merged = 0
+        separate: List[int] = []
+        for component in components:
+            if component & visited:
+                merged |= component
+            else:
+                separate.append(component)
+        if merged:
+            components = [merged] + separate
     return components
 
 
-def _reach_bitmaps(view: View, v: int) -> Dict[int, int]:
-    """Per-neighbor component-reach bitmaps (memoised).
-
-    ``reach[u]`` has bit ``i`` set when neighbor ``u`` of ``v`` belongs
-    to or touches component ``i`` of the higher-priority decomposition.
-    A replacement path for the pair ``(u, w)`` exists exactly when its
-    intermediates lie inside one component adjacent to both ends, so the
-    pair is replaceable iff ``reach[u] & reach[w]`` is non-zero (or the
-    direct edge exists).
-    """
-    return _memo(
-        view, ("reach-bitmaps", v), lambda: _reach_bitmaps_compute(view, v)
-    )
-
-
-def _reach_bitmaps_compute(view: View, v: int) -> Dict[int, int]:
-    base = _mask_base(view)
-    index, masks = base.index, base.masks
-    components = _component_masks(view, v)
-    node_at = index.node_at
-    reach: Dict[int, int] = {}
-    remaining = masks[index.position(v)]
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        position = low.bit_length() - 1
-        closed = low | masks[position]
-        bitmap = 0
-        for i, component in enumerate(components):
+def _touches(
+    eligible: int,
+    visited: int,
+    neighbors: Sequence[Tuple[int, int]],
+    masks: Tuple[int, ...],
+) -> List[int]:
+    """Per higher-priority component, the neighbors touching it (belonging
+    to or adjacent to it); ``neighbors`` holds each neighbor's ``(bit,
+    closed neighborhood)``."""
+    touches: List[int] = []
+    for component in _component_masks(eligible, visited, masks):
+        touch = 0
+        for bit, closed in neighbors:
             if closed & component:
-                bitmap |= 1 << i
-        reach[node_at(position)] = bitmap
-    return reach
+                touch |= bit
+        touches.append(touch)
+    return touches
+
+
+def _partners(
+    touches: List[int],
+    visited: int,
+    targets: int,
+    neighbors: Sequence[Tuple[int, int]],
+) -> Iterator[int]:
+    """Per neighbor ``u`` of ``targets = N(v)``, the neighbors ``w`` with a
+    replacement path for ``(u, w)``: adjacent to ``u``, touching one
+    component with it, or, like ``u``, visited (``u`` itself included).
+    Pass ``visited = 0`` when visited nodes are not taken as connected."""
+    visited_neighbors = visited & targets
+    for bit, closed in neighbors:
+        partners = closed
+        if bit & visited_neighbors:
+            partners |= visited_neighbors
+        for touch in touches:
+            if touch & bit:
+                partners |= touch
+        yield partners
+
+
+def _verdict(
+    eligible: int,
+    visited: int,
+    targets: int,
+    neighbors: Sequence[Tuple[int, int]],
+    masks: Tuple[int, ...],
+    strong: bool,
+) -> bool:
+    """The (strong) coverage condition from the higher-priority mask:
+    every neighbor partners every other, or (strong) some component is
+    touched by every neighbor."""
+    if not targets:
+        return True
+    touches = _touches(eligible, visited, neighbors, masks)
+    if strong:
+        return targets in touches
+    for partners in _partners(touches, visited, targets, neighbors):
+        if targets & ~partners:
+            return False
+    return True
+
+
+def _view_inputs(view: View, v: int):
+    """``(eligible, visited, N(v), neighbors, masks)`` for :func:`_verdict`
+    under a :class:`View`'s threshold table (neighbors in bit order)."""
+    base = _mask_base(view)
+    masks = base.masks
+    targets = masks[base.index.position(v)]
+    neighbors = []
+    remaining = targets
+    while remaining:
+        bit = remaining & -remaining
+        remaining ^= bit
+        neighbors.append((bit, bit | masks[bit.bit_length() - 1]))
+    visited = base.visited_mask if view.visited_connected else 0
+    return base.eligible_mask(view, v), visited, targets, neighbors, masks
+
+
+def _view_verdict(view: View, v: int, strong: bool) -> bool:
+    return _verdict(*_view_inputs(view, v), strong)
+
+
+def _mask_view_verdict(view: MaskView, v: int, strong: bool) -> bool:
+    """:func:`_verdict` on a compiled view's decide.
+
+    ``Pr`` ranks ``S`` first, so the higher-priority set is every status
+    stratum above ``v``'s own, whole, plus ``v``'s own stratum above its
+    static ``(metric..., id)`` suffix.
+    """
+    compiled = view.compiled
+    if v != compiled.node:
+        raise KeyError(f"node {v} is not the center of this compiled view")
+    visited, designated, own = view.visited, view.designated, compiled.bit
+    if visited & own:
+        eligible = visited & compiled.suffix
+    elif designated & own:
+        eligible = visited | (designated & compiled.suffix)
+    else:
+        eligible = visited | designated | compiled.suffix
+    return _verdict(
+        eligible,
+        visited,
+        compiled.neighbor_mask,
+        compiled.neighbors,
+        compiled.masks,
+        strong,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -372,9 +444,11 @@ def higher_priority_components(view: View, v: int) -> List[Set[int]]:
     all visited nodes are additionally fused into one component (they are
     all connected through the source even if the view cannot see how).
 
-    The result is memoised per ``(view, v)`` and shared by every coverage
-    predicate; treat the returned sets as read-only.  Component order is
-    backend-dependent (their set of sets is not).
+    The sets and numpy backends memoise the result per ``(view, v)`` and
+    share it with their coverage predicates; the bitset backend recomputes
+    it from the view's memoised priority-threshold table, one flood-fill
+    per component.  Treat the returned sets as read-only.  Component order
+    is backend-dependent (their set of sets is not).
     """
     backend = coverage_backend()
     if backend == "sets":
@@ -389,22 +463,24 @@ def higher_priority_components(view: View, v: int) -> List[Set[int]]:
             ("components", v, "numpy"),
             lambda: _np_kernel().components_compute(view, _np_base(view), v),
         )
-    return _memo(
-        view,
-        ("components", v, "bitset"),
-        lambda: [
-            set(view.index.members(mask))
-            for mask in _component_masks(view, v)
-        ],
-    )
+    base = _mask_base(view)
+    visited = base.visited_mask if view.visited_connected else 0
+    return [
+        set(view.index.members(mask))
+        for mask in _component_masks(
+            base.eligible_mask(view, v), visited, base.masks
+        )
+    ]
 
 
 def uncovered_pairs(view: View, v: int) -> List[Tuple[int, int]]:
     """Neighbor pairs of ``v`` lacking a replacement path.
 
     The coverage condition holds exactly when this list is empty.  Exposed
-    for diagnostics, tests, and the example walkthroughs.  Memoised per
-    ``(view, v)``; both backends produce the identical (sorted-pair) list.
+    for diagnostics, tests, and the example walkthroughs.  The sets and
+    numpy backends memoise it per ``(view, v)``; the bitset backend
+    recomputes it from the view's memoised priority-threshold table.
+    Every backend produces the identical (sorted-pair) list.
     """
     if v not in view.graph:
         raise KeyError(f"node {v} not visible in the view")
@@ -418,11 +494,7 @@ def uncovered_pairs(view: View, v: int) -> List[Tuple[int, int]]:
     if backend == "numpy":
         # The sweep result is itself the memo; per-node reads are free.
         return _np_sweep(view)[v][0]
-    return _memo(
-        view,
-        ("uncovered", v, "bitset"),
-        lambda: _uncovered_pairs_compute_bitset(view, v),
-    )
+    return _uncovered_pairs_bitset(view, v)
 
 
 def _uncovered_pairs_compute_sets(view: View, v: int) -> List[Tuple[int, int]]:
@@ -446,39 +518,21 @@ def _uncovered_pairs_compute_sets(view: View, v: int) -> List[Tuple[int, int]]:
     return failing
 
 
-def _uncovered_pairs_compute_bitset(
-    view: View, v: int
-) -> List[Tuple[int, int]]:
-    base = _mask_base(view)
-    index, masks = base.index, base.masks
-    position = index.position
-    reach = _reach_bitmaps(view, v)
-    visited = base.visited_mask if view.visited_connected else 0
-    neighbors = sorted(index.members(masks[position(v)]))
-    # Hoist every per-node lookup out of the O(deg^2) pair loop.
-    positions = [position(u) for u in neighbors]
-    bits = [1 << p for p in positions]
-    adjacency = [masks[p] for p in positions]
-    reaches = [reach[u] for u in neighbors]
-    count = len(neighbors)
-    failing: List[Tuple[int, int]] = []
-    for i in range(count):
-        adjacency_u = adjacency[i]
-        reach_u = reaches[i]
-        u_visited = visited & bits[i]
-        for j in range(i + 1, count):
-            if adjacency_u & bits[j]:
-                continue
-            if reach_u & reaches[j]:
-                continue
-            if u_visited and visited & bits[j]:
-                # Visited endpoints are mutually connected by convention.
-                continue
-            failing.append((neighbors[i], neighbors[j]))
-    return failing
+def _uncovered_pairs_bitset(view: View, v: int) -> List[Tuple[int, int]]:
+    eligible, visited, targets, neighbors, masks = _view_inputs(view, v)
+    node_at = view.index.node_at
+    ids = [node_at(bit.bit_length() - 1) for bit, _closed in neighbors]
+    touches = _touches(eligible, visited, neighbors, masks)
+    partners = list(_partners(touches, visited, targets, neighbors))
+    return sorted(
+        (min(ids[i], ids[j]), max(ids[i], ids[j]))
+        for i in range(len(ids))
+        for j in range(i + 1, len(ids))
+        if not partners[i] & neighbors[j][0]
+    )
 
 
-def coverage_condition(view: View, v: int) -> bool:
+def coverage_condition(view: Union[View, MaskView], v: int) -> bool:
     """Whether ``v`` may take non-forward status under the generic condition.
 
     True when **every pair** of ``v``'s neighbors has a replacement path —
@@ -486,18 +540,34 @@ def coverage_condition(view: View, v: int) -> bool:
     A node with zero or one neighbor satisfies the condition vacuously (it
     is never needed to connect anything); the source still forwards
     unconditionally, so coverage is unaffected.
+
+    ``view`` may also be a :class:`~repro.core.views.MaskView` centred
+    on ``v``: the bitset kernel then decides straight from the compiled
+    masks, with the verdict the equivalent :class:`View` would give.
     """
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
+    if type(view) is MaskView:
+        return _mask_view_verdict(view, v, strong=False)
+    if coverage_backend() == "bitset":
+        if v not in view.graph:
+            raise KeyError(f"node {v} not visible in the view")
+        return _view_verdict(view, v, strong=False)
     return not uncovered_pairs(view, v)
 
 
-def strong_coverage_condition(view: View, v: int) -> bool:
+def strong_coverage_condition(view: Union[View, MaskView], v: int) -> bool:
     """Whether some connected higher-priority component dominates ``N(v)``.
 
     The maximal candidate coverage set is an entire component of the
     higher-priority subgraph, so it suffices to test each component.
+    Accepts a :class:`~repro.core.views.MaskView` like
+    :func:`coverage_condition`.
     """
+    if type(view) is MaskView:
+        if _COUNTER_STACK:
+            _COUNTER_STACK[-1].coverage_evaluations += 1
+        return _mask_view_verdict(view, v, strong=True)
     if v not in view.graph:
         raise KeyError(f"node {v} not visible in the view")
     if _COUNTER_STACK:
@@ -513,30 +583,7 @@ def strong_coverage_condition(view: View, v: int) -> bool:
         return False
     if backend == "numpy":
         return _np_sweep(view)[v][1]
-    return _memo(
-        view,
-        ("strong", v, "bitset"),
-        lambda: _strong_coverage_compute_bitset(view, v),
-    )
-
-
-def _strong_coverage_compute_bitset(view: View, v: int) -> bool:
-    base = _mask_base(view)
-    index, masks = base.index, base.masks
-    targets = masks[index.position(v)]
-    if not targets:
-        return True
-    for component in _component_masks(view, v):
-        # cover = component ∪ N(component); domination is a single test.
-        cover = component
-        remaining = component
-        while remaining:
-            low = remaining & -remaining
-            cover |= masks[low.bit_length() - 1]
-            remaining ^= low
-        if targets & ~cover == 0:
-            return True
-    return False
+    return _view_verdict(view, v, strong=True)
 
 
 def _dominates(view: View, component: Set[int], targets: FrozenSet[int]) -> bool:
@@ -555,9 +602,8 @@ def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
     intermediates this is exactly the paper's "replacement path no more
     than three hops".
 
-    The eligible intermediate set and every pair's path verdict are
-    memoised per view, so re-evaluations (and the pair overlap between
-    nodes sharing a view) stop re-running the bounded BFS.
+    The verdict is memoised per ``(view, v)``, so re-evaluations stop
+    re-running the bounded BFS.
     """
     if max_intermediates < 0:
         raise ValueError(
@@ -622,20 +668,12 @@ def _span_compute(
         return True
     base = _mask_base(view)
     index, masks = base.index, base.masks
-    eligible = _memo(
-        view,
-        ("span-eligible", v, "bitset"),
-        lambda: base.eligible_mask(view, v) & ~base.visited_mask,
-    )
+    eligible = base.eligible_mask(view, v) & ~base.visited_mask
     neighbors = sorted(index.members(masks[index.position(v)]))
     for i, u in enumerate(neighbors):
         for w in neighbors[i + 1:]:
-            if not _memo(
-                view,
-                ("span-pair", v, u, w, max_intermediates, "bitset"),
-                lambda u=u, w=w: _bounded_replacement_path_bitset(
-                    index, masks, u, w, eligible, max_intermediates
-                ),
+            if not _bounded_replacement_path_bitset(
+                index, masks, u, w, eligible, max_intermediates
             ):
                 return False
     return True

@@ -21,14 +21,31 @@ engine, which *builds* fresh views as knowledge accumulates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..graph.nodeindex import NodeIndex
 from ..graph.topology import Topology
 from . import status as st
 from .priority import PriorityKey, PriorityScheme, make_key
 
-__all__ = ["View", "global_view", "local_view", "super_view", "view_cache"]
+__all__ = [
+    "View",
+    "CompiledView",
+    "MaskView",
+    "global_view",
+    "local_view",
+    "super_view",
+    "view_cache",
+]
 
 
 def view_cache(view: "View") -> Dict:
@@ -182,6 +199,69 @@ class View:
             metric_padding=self.metric_padding,
             visited_connected=self.visited_connected,
         )
+
+
+class CompiledView:
+    """One node's k-hop view compiled for repeated bitset decides.
+
+    Everything a self-pruning decide at ``node`` reads that is fixed
+    within a topology epoch: the view graph's index and adjacency masks,
+    and the node's *static suffix* — the visible nodes whose
+    ``(metric..., id)`` tail ranks above ``node``'s.  Because ``Pr``
+    ranks ``S`` first, the higher-priority set under any broadcast state
+    is this suffix with the visited/designated strata OR-ed in (see
+    :func:`repro.core.coverage.coverage_condition`), so a decide needs no
+    :class:`View` and no priority sort.
+
+    Built by :meth:`repro.sim.engine.SimulationEnvironment.compiled_view`
+    once per node per epoch; treat it as read-only.
+    """
+
+    __slots__ = (
+        "node",
+        "index",
+        "masks",
+        "bit",
+        "suffix",
+        "neighbor_mask",
+        "neighbors",
+    )
+
+    def __init__(
+        self,
+        graph: Topology,
+        node: int,
+        metrics: Mapping[int, Tuple[float, ...]],
+    ) -> None:
+        index, masks = graph.adjacency_masks()
+        own = (*metrics[node], float(node))
+        suffix = 0
+        for position, other in enumerate(index.nodes):
+            if (*metrics[other], float(other)) > own:
+                suffix |= 1 << position
+        neighbor_mask = masks[index.position(node)]
+        neighbors = sorted(index.members(neighbor_mask))
+        self.node = node
+        self.index = index
+        self.masks = masks
+        self.bit = index.bit(node)
+        self.suffix = suffix
+        self.neighbor_mask = neighbor_mask
+        #: ``(bit, closed neighborhood)`` per neighbor, in id order.
+        self.neighbors = tuple(
+            (index.bit(u), masks[index.position(u)] | index.bit(u))
+            for u in neighbors
+        )
+
+
+class MaskView(NamedTuple):
+    """A :class:`CompiledView` plus broadcast state as masks over its
+    index: the input of a bitset decide.  ``visited``/``designated``
+    hold only visible nodes, exactly as :class:`View`'s status map."""
+
+    compiled: CompiledView
+    visited: int
+    designated: int
 
 
 def _restrict_metrics(

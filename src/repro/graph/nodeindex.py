@@ -104,6 +104,17 @@ class NodeIndex:
             mask |= 1 << positions[node]
         return mask
 
+    def mask_within(self, nodes: Iterable[int]) -> int:
+        """The mask of the members of ``nodes`` inside the universe;
+        nodes outside it are ignored."""
+        positions = self._positions
+        mask = 0
+        for node in nodes:
+            position = positions.get(node)
+            if position is not None:
+                mask |= 1 << position
+        return mask
+
     def universe(self) -> int:
         """The full mask ``(1 << n) - 1`` over the whole universe."""
         return (1 << len(self._nodes)) - 1

@@ -40,7 +40,7 @@ from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from ..algorithms.base import BroadcastProtocol, NodeContext, Timing
 from ..core import status as st
 from ..core.priority import PriorityScheme, IdPriority
-from ..core.views import View
+from ..core.views import CompiledView, View
 from ..graph.topology import Topology
 from ..instrument import InstrumentationCounters, collecting
 from ..instrument import _STACK as _COUNTER_STACK
@@ -95,6 +95,11 @@ class SimulationEnvironment:
         self._view_metrics: Dict[
             int, Tuple[Topology, Dict[int, Tuple[float, ...]]]
         ] = {}
+        #: Per-``(node, hops)`` compiled views; scheme-specific like
+        #: ``_view_metrics`` (the static suffix ranks metrics).
+        self._compiled_views: Dict[
+            Tuple[int, Optional[int]], CompiledView
+        ] = {}
         #: The graph's version stamp the caches above were built against;
         #: :meth:`sync_topology` catches up when it moves.
         self._graph_version = graph.version_stamp()
@@ -113,6 +118,7 @@ class SimulationEnvironment:
         sibling._view_cache = self._view_cache
         sibling._two_hop_cache = self._two_hop_cache
         sibling._view_metrics = {}
+        sibling._compiled_views = {}
         sibling._graph_version = self.graph.version_stamp()
         return sibling
 
@@ -140,6 +146,7 @@ class SimulationEnvironment:
         self._view_cache.clear()
         self._two_hop_cache.clear()
         self._view_metrics.clear()
+        self._compiled_views.clear()
         self.metrics = self.scheme.metrics(self.graph)
 
     def view_graph(self, node: int, hops: Optional[int]) -> Topology:
@@ -154,6 +161,20 @@ class SimulationEnvironment:
                 cached = self.graph.k_hop_view_graph(node, hops)
             self._view_cache[key] = cached
         return cached
+
+    def compiled_view(self, node: int, hops: Optional[int]) -> CompiledView:
+        """``node``'s :class:`~repro.core.views.CompiledView` over
+        :meth:`view_graph`: built once per node per topology epoch and
+        dropped by :meth:`sync_topology`."""
+        self.sync_topology()
+        key = (node, hops)
+        compiled = self._compiled_views.get(key)
+        if compiled is None:
+            compiled = CompiledView(
+                self.view_graph(node, hops), node, self.metrics
+            )
+            self._compiled_views[key] = compiled
+        return compiled
 
     def two_hop_set(self, node: int) -> FrozenSet[int]:
         """``N2(node)`` on the deployment graph (for TDP piggybacking)."""

@@ -19,8 +19,9 @@ long-lived execution path for that stream:
 * forward/designate decisions are pure functions of a node's snooped
   knowledge for every deterministic protocol, so the service reuses them
   across messages within one topology epoch (guarded by the graph's
-  :meth:`~repro.graph.topology.Topology.version_stamp`; gossip opts out
-  via ``cacheable_decisions = False``), counted as
+  :meth:`~repro.graph.topology.Topology.version_stamp`), keyed by the
+  protocol's :meth:`~repro.algorithms.base.BroadcastProtocol.
+  decision_key` (gossip returns no key), counted as
   ``forward_set_reuses``.
 
 Byte-identity contract: under a one-message
@@ -39,14 +40,13 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from ..algorithms.base import BroadcastProtocol, NodeContext
 from ..instrument import InstrumentationCounters, collecting
 from ..instrument import _STACK as _COUNTER_STACK
 from .engine import (
     BroadcastOutcome,
-    MessageState,
     MessageTable,
     SimulationEnvironment,
 )
@@ -250,7 +250,7 @@ class ServiceEngine:
         (and with it all queueing).
     reuse_decisions:
         Serve repeat forward/designate decisions from the cross-message
-        cache (only for protocols with ``cacheable_decisions``).
+        cache (only those the protocol gives a decision key).
     collect_trace / bus / collect_counters:
         As for the legacy session.
 
@@ -285,7 +285,7 @@ class ServiceEngine:
         self.mac = mac or IdealMac()
         self.queue_capacity = queue_capacity
         self.tx_time_per_unit = tx_time_per_unit
-        self.reuse_decisions = reuse_decisions and protocol.cacheable_decisions
+        self.reuse_decisions = reuse_decisions
         self.scheduler = EventScheduler()
         if bus is None:
             bus = RecordingBus() if collect_trace else NULL_BUS
@@ -312,11 +312,11 @@ class ServiceEngine:
         self._drops: Dict[int, Dict[str, int]] = {}
         self._messages_dropped = 0
         self._forward_set_reuses = 0
-        #: Cross-message decision cache: knowledge key -> (forward,
+        #: Cross-message decision cache: decision key -> (forward,
         #: designated).  Sound only within one topology epoch, so the
         #: graph's version stamp guards every lookup.
         self._decision_cache: Dict[
-            Tuple, Tuple[bool, FrozenSet[int]]
+            Hashable, Tuple[bool, FrozenSet[int]]
         ] = {}
         self._cache_stamp = env.graph.version_stamp()
         self._ran = False
@@ -749,31 +749,6 @@ class ServiceEngine:
 
     # ------------------------------------------------------------------
 
-    def _decision_key(
-        self, node: int, state: MessageState
-    ) -> Optional[Tuple]:
-        """The knowledge key a timer decision is a pure function of.
-
-        Everything :class:`~repro.algorithms.base.NodeContext` exposes to
-        a cacheable protocol, minus message-identity fields: the node,
-        its snooped visited/designated/designator sets, and the first
-        packet's *content* (sender, source, trail, piggybacked 2-hop
-        set) stripped of ``message_id``/payload/TTL.
-        """
-        first = state.first_packet
-        if first is None:
-            return None
-        return (
-            node,
-            frozenset(state.known_visited),
-            frozenset(state.known_designated),
-            frozenset(state.designators),
-            first.sender,
-            first.source,
-            first.trail,
-            first.sender_two_hop,
-        )
-
     def _decide(self, message: Message, node: int) -> None:
         mid = message.message_id
         state = self._tables[node].state(mid)
@@ -789,16 +764,19 @@ class ServiceEngine:
             self._drop(mid, node, node, "ttl_expired")
             return
         forced = self.protocol.strict_designation and bool(state.designators)
-        designated: FrozenSet[int] = frozenset()
         ctx: Optional[NodeContext] = None
+        designated: Optional[FrozenSet[int]] = None
         if forced:
             forward = True
-        elif self.reuse_decisions:
-            stamp = self.env.graph.version_stamp()
-            if stamp != self._cache_stamp:
-                self._decision_cache.clear()
-                self._cache_stamp = stamp
-            key = self._decision_key(node, state)
+        else:
+            ctx = self._context(message, node)
+            key = None
+            if self.reuse_decisions:
+                stamp = self.env.graph.version_stamp()
+                if stamp != self._cache_stamp:
+                    self._decision_cache.clear()
+                    self._cache_stamp = stamp
+                key = self.protocol.decision_key(ctx)
             cached = (
                 self._decision_cache.get(key) if key is not None else None
             )
@@ -808,16 +786,12 @@ class ServiceEngine:
                 if _COUNTER_STACK:
                     _COUNTER_STACK[-1].forward_set_reuses += 1
             else:
-                ctx = self._context(message, node)
                 forward = self.protocol.should_forward(ctx)
-                designated = (
-                    self.protocol.designate(ctx) if forward else frozenset()
-                )
                 if key is not None:
+                    designated = (
+                        self.protocol.designate(ctx) if forward else frozenset()
+                    )
                     self._decision_cache[key] = (forward, designated)
-        else:
-            ctx = self._context(message, node)
-            forward = self.protocol.should_forward(ctx)
         if _COUNTER_STACK:
             _COUNTER_STACK[-1].decisions += 1
         if self._bus_on:
@@ -832,10 +806,8 @@ class ServiceEngine:
                 )
             )
         if forward:
-            if forced:
-                ctx = self._context(message, node)
-                designated = self.protocol.designate(ctx)
-            elif not self.reuse_decisions:
-                assert ctx is not None
+            if designated is None:
+                if ctx is None:
+                    ctx = self._context(message, node)
                 designated = self.protocol.designate(ctx)
             self._transmit(message, node, designated, incoming=state.last_packet)

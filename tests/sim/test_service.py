@@ -265,29 +265,6 @@ class TestDecisionReuse:
         # same knowledge states, so the cache must fire.
         assert outcome.forward_set_reuses > 0
 
-    def test_reuse_changes_nothing_observable(self):
-        for reuse in (True, False):
-            graph = _deployment(4)
-            env, protocol = _prepared(
-                graph,
-                lambda: GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2),
-            )
-            traffic = ZipfTraffic(rate=0.05, count=10, exponent=4.0, seed=4)
-            outcome = ServiceEngine(
-                env,
-                protocol,
-                traffic,
-                rng=random.Random(4),
-                reuse_decisions=reuse,
-            ).run()
-            forwards = [frozenset(m.forward_nodes) for m in outcome.messages]
-            if reuse:
-                cached_forwards = forwards
-                assert outcome.forward_set_reuses > 0
-            else:
-                assert outcome.forward_set_reuses == 0
-                assert forwards == cached_forwards
-
 
 class TestRunSemantics:
     def test_engine_runs_only_once(self):
