@@ -21,7 +21,7 @@ from repro.algorithms.base import Timing
 from repro.algorithms.generic import GenericSelfPruning
 from repro.core.priority import IdPriority
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 TRIALS = 20
 N = 60
@@ -37,9 +37,9 @@ def _mean_forward(protocol_factory, seed: int = 17) -> float:
         protocol = protocol_factory()
         protocol.prepare(env)
         source = rng.choice(net.topology.nodes())
-        outcome = BroadcastSession(
-            env, protocol, source, rng=random.Random(trial)
-        ).run()
+        outcome = run_broadcast(
+            net.topology, protocol, source, rng=random.Random(trial), env=env
+        )
         assert outcome.delivered == set(net.topology.nodes())
         counts.append(outcome.forward_count)
     return statistics.mean(counts)

@@ -18,7 +18,7 @@ from repro.algorithms.generic import GenericSelfPruning, GenericStatic
 from repro.core.priority import IdPriority
 from repro.graph.cds import greedy_cds, minimum_cds_bruteforce
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 TRIALS = 12
 N = 10
@@ -44,10 +44,10 @@ def test_approximation_ratios(benchmark):
 
             dynamic = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)
             dynamic.prepare(env)
-            outcome = BroadcastSession(
-                env, dynamic, rng.choice(net.topology.nodes()),
-                rng=random.Random(trial),
-            ).run()
+            outcome = run_broadcast(
+                net.topology, dynamic, rng.choice(net.topology.nodes()),
+                rng=random.Random(trial), env=env,
+            )
             ratios["generic-fr"].append(outcome.forward_count / best)
 
             ratios["greedy-cds"].append(

@@ -16,7 +16,7 @@ from repro.algorithms.base import Timing
 from repro.algorithms.generic import GenericSelfPruning, GenericStatic
 from repro.core.priority import IdPriority
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 TRIALS = 20
 N = 60
@@ -30,10 +30,10 @@ def _measure(protocol_factory):
         env = SimulationEnvironment(net.topology, IdPriority())
         protocol = protocol_factory()
         protocol.prepare(env)
-        outcome = BroadcastSession(
-            env, protocol, rng.choice(net.topology.nodes()),
-            rng=random.Random(trial),
-        ).run()
+        outcome = run_broadcast(
+            net.topology, protocol, rng.choice(net.topology.nodes()),
+            rng=random.Random(trial), env=env,
+        )
         assert outcome.delivered == set(net.topology.nodes())
         latencies.append(outcome.completion_time)
         forwards.append(outcome.forward_count)

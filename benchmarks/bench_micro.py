@@ -15,7 +15,7 @@ from repro.core.coverage import coverage_condition, strong_coverage_condition
 from repro.core.priority import IdPriority
 from repro.core.views import global_view
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +58,9 @@ def test_full_broadcast_generic_fr(benchmark, dense_network):
     protocol.prepare(env)
 
     def run():
-        return BroadcastSession(
-            env, protocol, 0, rng=random.Random(1)
-        ).run()
+        return run_broadcast(
+            env.graph, protocol, 0, rng=random.Random(1), env=env
+        )
 
     outcome = benchmark(run)
     assert outcome.delivered == set(dense_network.topology.nodes())

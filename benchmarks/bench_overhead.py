@@ -20,7 +20,7 @@ from repro.algorithms.dominant_pruning import (
 )
 from repro.core.priority import DegreePriority
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 TRIALS = 20
 N = 50
@@ -35,10 +35,10 @@ def _measure(protocol_cls):
         env = SimulationEnvironment(net.topology, DegreePriority())
         protocol = protocol_cls()
         protocol.prepare(env)
-        outcome = BroadcastSession(
-            env, protocol, rng.choice(net.topology.nodes()),
-            rng=random.Random(trial),
-        ).run()
+        outcome = run_broadcast(
+            net.topology, protocol, rng.choice(net.topology.nodes()),
+            rng=random.Random(trial), env=env,
+        )
         assert outcome.delivered == set(net.topology.nodes())
         forwards.append(outcome.forward_count)
         volume.append(outcome.bytes_transmitted)

@@ -60,7 +60,7 @@ from repro.graph.unit_disk import (
     build_unit_disk_graph,
     range_for_link_count,
 )
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 #: Default output location: repo root, next to the other BENCH records.
 DEFAULT_OUT = os.path.join(
@@ -114,13 +114,13 @@ def _edge_payload(network) -> List[List[int]]:
 
 
 def _broadcast(graph, backend: str) -> Tuple[float, dict]:
-    """GenericStatic global-view prepare + one session under ``backend``."""
+    """GenericStatic global-view prepare + one broadcast under ``backend``."""
     os.environ["REPRO_COVERAGE_BACKEND"] = backend
     env = SimulationEnvironment(graph, IdPriority())
     protocol = GenericStatic(hops=None)
     start = time.perf_counter()
     protocol.prepare(env)
-    outcome = BroadcastSession(env, protocol, 0, rng=random.Random(1)).run()
+    outcome = run_broadcast(graph, protocol, 0, rng=random.Random(1), env=env)
     elapsed = time.perf_counter() - start
     payload = {
         "forward_set": sorted(protocol.forward_set),

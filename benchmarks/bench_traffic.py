@@ -1,5 +1,5 @@
 """Broadcast service benchmark: stream throughput plus the byte-identity
-gate between the service path and the legacy single-broadcast engine.
+gate between the service path and the frozen single-message goldens.
 
 Run directly for the full record (written to ``BENCH_traffic.json`` at
 the repo root so the perf trajectory is tracked across PRs)::
@@ -13,10 +13,11 @@ Two legs:
 * **identity** — on every configured coverage backend (sets and bitset;
   numpy joins when installed), a one-message
   :class:`~repro.sim.traffic.SingleShot` service run must reproduce the
-  legacy :class:`~repro.sim.engine.BroadcastSession` byte for byte:
-  forward/delivered sets, receipt counts, designations, completion
-  time, byte counts, and the typed event stream.  Any mismatch fails
-  the benchmark and is localised with a ``first_divergence`` JSON path.
+  frozen record of the retired single-message engine
+  (``tests/sim/legacy_engine_golden.jsonl``) byte for byte: source,
+  forward set, completion time, byte count, and the sha256 of the typed
+  event stream.  Any mismatch fails the benchmark and is localised with
+  a ``first_divergence`` JSON path.
 * **throughput** — the service drives Poisson streams over a large
   deployment (1000 nodes in full mode) at a ladder of offered loads and
   records simulated messages per wall-clock second per point.
@@ -34,71 +35,35 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
 
 from repro.algorithms.base import Timing
-from repro.algorithms.dominant_pruning import DominantPruning
-from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
-from repro.sim.events import events_to_jsonl
+from repro.sim.engine import SimulationEnvironment
 from repro.sim.service import ServiceEngine
-from repro.sim.traffic import PoissonTraffic, SingleShot
+from repro.sim.traffic import PoissonTraffic
+from tests.sim.legacy_golden import (
+    TRAFFIC_PROTOCOLS,
+    TRAFFIC_SEED,
+    divergence,
+    first_divergence,
+    run_case,
+    traffic_case,
+)
 
 #: Default output location: repo root, next to EXPERIMENTS.md.
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_traffic.json",
-)
+DEFAULT_OUT = os.path.join(ROOT, "BENCH_traffic.json")
 
 #: Coverage backends the identity gate always covers; numpy is appended
 #: at runtime when importable (it is an optional dependency).
 BASE_BACKENDS = ("sets", "bitset")
 
-IDENTITY_PROTOCOLS = (
-    ("flooding", Flooding),
-    ("FR", lambda: GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)),
-    ("DP", DominantPruning),
-)
-
 FULL_RATES = (0.5, 2.0, 8.0)
 SMOKE_RATES = (0.5, 2.0, 8.0)
 
-SEED = 20030519
-
-
-def first_divergence(legacy, service, path="$"):
-    """The JSON path of the first byte difference, or ``None`` if equal."""
-    if type(legacy) is not type(service):
-        return (
-            f"{path}: type {type(legacy).__name__} != "
-            f"{type(service).__name__}"
-        )
-    if isinstance(legacy, dict):
-        for key in sorted(set(legacy) | set(service)):
-            if key not in legacy:
-                return f"{path}.{key}: only in service payload"
-            if key not in service:
-                return f"{path}.{key}: only in legacy payload"
-            found = first_divergence(legacy[key], service[key], f"{path}.{key}")
-            if found is not None:
-                return found
-        return None
-    if isinstance(legacy, list):
-        if len(legacy) != len(service):
-            return f"{path}: length {len(legacy)} != {len(service)}"
-        for index, (left, right) in enumerate(zip(legacy, service)):
-            found = first_divergence(left, right, f"{path}[{index}]")
-            if found is not None:
-                return found
-        return None
-    if legacy != service:
-        return f"{path}: legacy={legacy!r} service={service!r}"
-    return None
 
 
 def _backends() -> List[str]:
@@ -112,70 +77,25 @@ def _backends() -> List[str]:
     return backends
 
 
-def _outcome_payload(outcome) -> Dict:
-    """A broadcast outcome as plain JSON-able data, events included."""
-    return {
-        "forward_nodes": sorted(outcome.forward_nodes),
-        "delivered": sorted(outcome.delivered),
-        "transmissions": outcome.transmissions,
-        "completion_time": outcome.completion_time,
-        "bytes_transmitted": outcome.bytes_transmitted,
-        "receipt_counts": {
-            str(node): count
-            for node, count in sorted(outcome.receipt_counts.items())
-        },
-        "designations": {
-            str(node): sorted(designated)
-            for node, designated in sorted(outcome.designations.items())
-        },
-        "events": events_to_jsonl(outcome.events).splitlines(),
-    }
-
-
 def check_identity(n: int, degree: float, seeds: int) -> Dict:
-    """Legacy vs service single-message runs, per backend and protocol.
+    """Service single-message runs vs the frozen records, per backend.
 
-    Independent deployments per run (a shared graph would leak
-    query-cache warmth); identical protocol, source, and decision-RNG
-    seeds, so any divergence is the engines', not the inputs'.
+    Each run gets a fresh deployment (a shared graph would leak
+    query-cache warmth) with the frozen case's protocol, source and
+    decision-RNG seed, so any divergence is the service's.
     """
     checks = 0
-    divergence = None
+    found = None
     ambient = os.environ.get("REPRO_COVERAGE_BACKEND")
     for backend in _backends():
         os.environ["REPRO_COVERAGE_BACKEND"] = backend
-        for label, factory in IDENTITY_PROTOCOLS:
+        for label in TRAFFIC_PROTOCOLS:
             for seed in range(seeds):
-                payloads = []
-                for _run in range(2):
-                    net = random_connected_network(
-                        n, degree, random.Random(SEED + seed)
-                    )
-                    graph = net.topology
-                    env = SimulationEnvironment(graph)
-                    protocol = factory()
-                    protocol.prepare(env)
-                    source = random.Random(seed).choice(graph.nodes())
-                    rng = random.Random(SEED ^ seed)
-                    if _run == 0:
-                        outcome = BroadcastSession(
-                            env, protocol, source, rng=rng,
-                            collect_trace=True,
-                            _deprecation_warning=False,
-                        ).run()
-                    else:
-                        outcome = ServiceEngine(
-                            env, protocol, SingleShot(source), rng=rng,
-                            collect_trace=True,
-                        ).run().single_outcome()
-                    payloads.append(_outcome_payload(outcome))
+                case = traffic_case(n, degree, label, seed)
                 checks += 1
-                found = first_divergence(payloads[0], payloads[1])
-                if found is not None and divergence is None:
-                    divergence = (
-                        f"backend={backend} protocol={label} seed={seed} "
-                        f"{found}"
-                    )
+                detail = divergence(case, run_case(case))
+                if detail is not None and found is None:
+                    found = f"backend={backend} {detail}"
     # Restore the ambient backend (CI matrixes it for the throughput leg).
     if ambient is None:
         os.environ.pop("REPRO_COVERAGE_BACKEND", None)
@@ -183,27 +103,32 @@ def check_identity(n: int, degree: float, seeds: int) -> Dict:
         os.environ["REPRO_COVERAGE_BACKEND"] = ambient
     return {
         "backends": _backends(),
-        "protocols": [label for label, _ in IDENTITY_PROTOCOLS],
+        "protocols": list(TRAFFIC_PROTOCOLS),
         "seeds_per_combination": seeds,
         "checks": checks,
-        "divergence": divergence,
-        "byte_identical": divergence is None,
+        "divergence": found,
+        "byte_identical": found is None,
     }
 
 
 def measure_throughput(n: int, degree: float, count: int, rates) -> Dict:
     """Service messages per wall-clock second at each offered load."""
-    graph = random_connected_network(n, degree, random.Random(SEED)).topology
+    graph = random_connected_network(
+        n, degree, random.Random(TRAFFIC_SEED)
+    ).topology
     points = []
     for rate in rates:
         env = SimulationEnvironment(graph.copy())
         protocol = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)
         protocol.prepare(env)
         traffic = PoissonTraffic(
-            rate=rate, count=count, seed=SEED, size_units=4
+            rate=rate, count=count, seed=TRAFFIC_SEED, size_units=4
         )
         engine = ServiceEngine(
-            env, protocol, traffic, rng=random.Random(SEED ^ int(rate * 1000))
+            env,
+            protocol,
+            traffic,
+            rng=random.Random(TRAFFIC_SEED ^ int(rate * 1000)),
         )
         start = time.perf_counter()
         outcome = engine.run()
@@ -250,12 +175,13 @@ def run_benchmark(smoke: bool) -> Dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Broadcast service throughput + legacy byte-identity gate."
+        description="Broadcast service throughput + frozen-golden "
+        "byte-identity gate."
     )
     parser.add_argument(
         "--smoke", action="store_true",
         help="tiny fixtures; non-zero exit if the service diverges "
-        "from the legacy engine",
+        "from the frozen single-message goldens",
     )
     parser.add_argument(
         "--out", default=DEFAULT_OUT,
@@ -272,7 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not record["byte_identical"]:
         print(
             "FAIL: byte-identity gate — the one-message service path "
-            "diverges from the legacy engine.  First divergence:\n"
+            "diverges from the frozen goldens.  First divergence:\n"
             f"  {record['identity']['divergence']}",
             file=sys.stderr,
         )

@@ -13,7 +13,7 @@ import random
 import statistics
 import sys
 
-from repro import SimulationEnvironment, BroadcastSession, is_cds
+from repro import SimulationEnvironment, is_cds, run_broadcast
 from repro.algorithms import REGISTRY, create
 from repro.core.priority import scheme_by_name
 from repro.graph.generators import random_connected_network
@@ -45,9 +45,10 @@ def main(n: int = 50, degree: float = 6.0) -> None:
             env = SimulationEnvironment(deployment.topology, scheme)
             protocol = create(name)
             protocol.prepare(env)
-            outcome = BroadcastSession(
-                env, protocol, source, rng=random.Random(trial)
-            ).run()
+            outcome = run_broadcast(
+                deployment.topology, protocol, source,
+                rng=random.Random(trial), env=env,
+            )
             if outcome.delivered != set(deployment.topology.nodes()):
                 raise AssertionError(f"{name} failed to cover the network")
             counts.append(outcome.forward_count)

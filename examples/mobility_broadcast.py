@@ -25,7 +25,7 @@ from repro.core.priority import IdPriority
 from repro.graph.geometry import Area, random_points
 from repro.graph.mobility import RandomWaypointModel
 from repro.graph.unit_disk import range_for_average_degree
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.sim.mac import CollisionMac
 
 
@@ -57,13 +57,13 @@ def stale_backbone_delivery(max_speed: float, trials: int = 10) -> tuple:
         replay = GenericStatic(hops=2)
         replay.prepare(env_after)
         replay._forward_set = set(stale_forward)  # inject the stale set
-        outcome = BroadcastSession(
-            env_after, replay, source=0, rng=rng
-        ).run()
+        outcome = run_broadcast(
+            after.topology, replay, 0, rng=rng, env=env_after
+        )
         delivered_pruned.append(len(outcome.delivered) / 50)
-        flood = BroadcastSession(
-            env_after, Flooding(), source=0, rng=rng
-        ).run()
+        flood = run_broadcast(
+            after.topology, Flooding(), 0, rng=rng, env=env_after
+        )
         delivered_flood.append(len(flood.delivered) / 50)
     if not delivered_pruned:
         return float("nan"), float("nan")
@@ -84,13 +84,14 @@ def collision_recovery() -> None:
         delivered, collisions = [], []
         for trial in range(10):
             mac = CollisionMac(delay=1.0, jitter=jitter, window=0.25)
-            outcome = BroadcastSession(
-                SimulationEnvironment(net.topology, IdPriority()),
+            outcome = run_broadcast(
+                net.topology,
                 Flooding(),
-                source=0,
+                0,
                 rng=random.Random(trial),
                 mac=mac,
-            ).run()
+                env=SimulationEnvironment(net.topology, IdPriority()),
+            )
             delivered.append(len(outcome.delivered) / 40)
             collisions.append(mac.collisions)
         print(

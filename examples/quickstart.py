@@ -14,6 +14,7 @@ from repro import (
     FrameworkConfig,
     build_protocol,
     build_scheme,
+    events_to_jsonl,
     is_cds,
     random_connected_network,
     run_broadcast,
@@ -60,8 +61,8 @@ def main() -> None:
     )
 
     print("\nfirst ten trace events:")
-    for event in outcome.trace.events()[:10]:
-        print(" ", event)
+    for line in events_to_jsonl(outcome.events[:10]).splitlines():
+        print(" ", line)
 
     # 4. Compare against blind flooding: every node transmits.
     saved = network.node_count - outcome.forward_count

@@ -55,12 +55,10 @@ from .graph.unit_disk import UnitDiskGraph, build_unit_disk_graph
 from .instrument import InstrumentationCounters, collecting
 from .sim.engine import (
     BroadcastOutcome,
-    BroadcastSession,
     MessageState,
     MessageTable,
     SimulationEnvironment,
     run_broadcast,
-    session_seed,
 )
 from .sim.service import (
     MessageOutcome,
@@ -117,12 +115,10 @@ __all__ = [
     "UnitDiskGraph",
     "build_unit_disk_graph",
     "BroadcastOutcome",
-    "BroadcastSession",
     "MessageState",
     "MessageTable",
     "SimulationEnvironment",
     "run_broadcast",
-    "session_seed",
     "MessageOutcome",
     "ServiceEngine",
     "ServiceOutcome",

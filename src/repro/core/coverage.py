@@ -108,7 +108,7 @@ def _memo(view: View, key, compute):
     cache with the view graph's ``version_stamp()`` and resets it when
     the graph is mutated underneath the view (e.g. by
     ``Topology.apply_delta`` during a mobility sweep), so every memo
-    here — base tables, components, span paths — is invalidated as a
+    here — base tables, components, span verdicts — is invalidated as a
     unit the moment its topology input changes, and survives verbatim
     while the retained view graph stays untouched.
     """
@@ -624,45 +624,31 @@ def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
 def _span_compute(
     view: View, v: int, max_intermediates: int, backend: str
 ) -> bool:
+    # The outer ("span", v, ...) memo already answers repeat queries, so
+    # the per-pair searches below run at most once per (view, v).
     if backend == "sets":
-        eligible = _memo(
-            view,
-            ("span-eligible", v, "sets"),
-            lambda: frozenset(
-                node
-                for node in _higher_priority_nodes(view, v)
-                if not view.is_visited(node)
-            ),
+        eligible = frozenset(
+            node
+            for node in _higher_priority_nodes(view, v)
+            if not view.is_visited(node)
         )
         neighbors = sorted(view.graph.neighbors(v))
         for i, u in enumerate(neighbors):
             for w in neighbors[i + 1:]:
-                if not _memo(
-                    view,
-                    ("span-pair", v, u, w, max_intermediates, "sets"),
-                    lambda u=u, w=w: _bounded_replacement_path_sets(
-                        view, u, w, eligible, max_intermediates
-                    ),
+                if not _bounded_replacement_path_sets(
+                    view, u, w, eligible, max_intermediates
                 ):
                     return False
         return True
     if backend == "numpy":
         kernel = _np_kernel()
         np_base = _np_base(view)
-        eligible = _memo(
-            view,
-            ("span-eligible", v, "numpy"),
-            lambda: kernel.span_eligible(view, np_base, v),
-        )
+        eligible = kernel.span_eligible(view, np_base, v)
         neighbors = sorted(view.graph.neighbors(v))
         for i, u in enumerate(neighbors):
             for w in neighbors[i + 1:]:
-                if not _memo(
-                    view,
-                    ("span-pair", v, u, w, max_intermediates, "numpy"),
-                    lambda u=u, w=w: kernel.bounded_replacement_path(
-                        np_base, u, w, eligible, max_intermediates
-                    ),
+                if not kernel.bounded_replacement_path(
+                    np_base, u, w, eligible, max_intermediates
                 ):
                     return False
         return True

@@ -64,9 +64,9 @@ def view_cache(view: "View") -> Dict:
     moves (a view over a graph later mutated through ``apply_delta`` or
     the plain mutators).  Reset is deliberately *wholesale* rather than
     per dirty node: the memoised coverage predicates (component
-    decompositions, reach bitmaps, span paths) are global within the
-    view graph — a far-away edge change can flip any node's verdict —
-    so per-node retention inside one view would be unsound.  In the
+    decompositions, span verdicts) are global within the view graph — a
+    far-away edge change can flip any node's verdict — so per-node
+    retention inside one view would be unsound.  In the
     steady state (retained view graphs across mobility deltas) the
     stamp never moves and the memo survives verbatim.
     """

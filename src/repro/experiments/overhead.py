@@ -36,7 +36,7 @@ from ..algorithms.generic import GenericSelfPruning
 from ..core.priority import PriorityScheme, scheme_by_name
 from ..graph.generators import random_connected_network
 from ..instrument import collecting
-from ..sim.engine import BroadcastSession, SimulationEnvironment
+from ..sim.engine import SimulationEnvironment, run_broadcast
 from ..sim.hello import run_hello_rounds
 
 __all__ = [
@@ -85,11 +85,10 @@ def measure_overhead(
         env = SimulationEnvironment(net.topology, scheme)
         protocol = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=hops)
         protocol.prepare(env)
-        outcome = BroadcastSession(
-            env, protocol, rng.choice(net.topology.nodes()),
-            rng=random.Random(trial),
-            _deprecation_warning=False,
-        ).run()
+        outcome = run_broadcast(
+            net.topology, protocol, rng.choice(net.topology.nodes()),
+            rng=random.Random(trial), env=env,
+        )
         if len(outcome.delivered) != n:
             raise AssertionError("broadcast failed coverage")
         forwards.append(outcome.forward_count)
@@ -158,11 +157,10 @@ def measure_overhead_instrumented(
             env = SimulationEnvironment(net.topology, scheme)
             protocol = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=hops)
             protocol.prepare(env)
-            outcome = BroadcastSession(
-                env, protocol, rng.choice(net.topology.nodes()),
-                rng=random.Random(trial),
-                _deprecation_warning=False,
-            ).run()
+            outcome = run_broadcast(
+                net.topology, protocol, rng.choice(net.topology.nodes()),
+                rng=random.Random(trial), env=env,
+            )
             if len(outcome.delivered) != n:
                 raise AssertionError("broadcast failed coverage")
             forwards.append(outcome.forward_count)

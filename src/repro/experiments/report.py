@@ -21,7 +21,7 @@ from ..algorithms.registry import table1_rows
 from ..graph.generators import random_connected_network
 from ..graph.unit_disk import UnitDiskGraph
 from ..metrics.results import ResultTable, format_table
-from ..sim.engine import BroadcastSession, SimulationEnvironment
+from ..sim.engine import SimulationEnvironment, run_broadcast
 from ..core.priority import IdPriority
 from ..viz.ascii_plot import ascii_chart
 from ..viz.network_svg import network_svg
@@ -111,11 +111,10 @@ def run_fig9_sample(
             else:
                 protocol = GenericSelfPruning(timing, hops=hops)
             protocol.prepare(env)
-            session = BroadcastSession(
-                env, protocol, source, rng=random.Random(seed + hops),
-                _deprecation_warning=False,
+            outcome = run_broadcast(
+                network.topology, protocol, source,
+                rng=random.Random(seed + hops), env=env,
             )
-            outcome = session.run()
             forward_sets[(hops, label)] = frozenset(outcome.forward_nodes)
     return Fig9Result(network=network, source=source, forward_sets=forward_sets)
 

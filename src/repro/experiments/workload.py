@@ -35,8 +35,8 @@ def workload_seed(sequence: int) -> int:
     """The documented default-RNG seed of one :meth:`BroadcastWorkload.run`.
 
     ``sha256("BroadcastWorkload|{sequence}")`` truncated to 64 bits —
-    the same session-seed derivation
-    :func:`repro.sim.engine.session_seed` uses, under a workload-specific
+    the same derivation
+    :func:`repro.sim.service.service_seed` uses, under a workload-specific
     tag so workload source draws never correlate with engine backoff
     streams.  A shared fixed default (the old ``Random(0)``) replayed the
     identical source sequence for every run in a process, silently
@@ -145,9 +145,7 @@ class BroadcastWorkload:
                 env = self.env.with_scheme(scheme_factory(index))
                 protocol = self.protocol_factory()
                 protocol.prepare(env)
-            # Per-broadcast sessions go through the service path; the
-            # single-message byte-identity contract keeps the stream's
-            # transmissions and latencies identical to the legacy engine.
+            # Each broadcast is a one-message run of the service path.
             outcome = run_broadcast(
                 self.graph,
                 protocol,

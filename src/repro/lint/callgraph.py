@@ -1,7 +1,8 @@
 """Whole-project call graph over the symbol table.
 
-Edges connect qualified function names (``repro.sim.engine.run`` ->
-``repro.sim.engine.session_seed``); calls that resolve to a class go to
+Edges connect qualified function names
+(``repro.sim.service.ServiceEngine.__init__`` ->
+``repro.sim.service.service_seed``); calls that resolve to a class go to
 its ``__init__`` when one exists.  Calls that resolve outside the
 project (``time.time``, ``hashlib.sha256``, ``random.random``) are kept
 separately as *external* names — DET012 classifies those as entropy

@@ -2,12 +2,10 @@
 
 from .engine import (
     BroadcastOutcome,
-    BroadcastSession,
     MessageState,
     MessageTable,
     SimulationEnvironment,
     run_broadcast,
-    session_seed,
 )
 from .energy import (
     EnergyAwarePriority,
@@ -44,7 +42,6 @@ from .service import (
     ServiceOutcome,
     service_seed,
 )
-from .trace import TraceEvent, TraceRecorder
 from .traffic import (
     BurstyTraffic,
     Message,
@@ -58,12 +55,10 @@ from .traffic import (
 
 __all__ = [
     "BroadcastOutcome",
-    "BroadcastSession",
     "MessageState",
     "MessageTable",
     "SimulationEnvironment",
     "run_broadcast",
-    "session_seed",
     "MessageOutcome",
     "ServiceEngine",
     "ServiceOutcome",
@@ -107,6 +102,4 @@ __all__ = [
     "ReliableOutcome",
     "TrailEntry",
     "EventScheduler",
-    "TraceEvent",
-    "TraceRecorder",
 ]

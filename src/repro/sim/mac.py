@@ -66,8 +66,7 @@ class MacModel(ABC):
     def retire(self, now: float) -> None:
         """Discard interference state that can no longer matter at ``now``.
 
-        The legacy engine runs one broadcast and resets between runs, so
-        stateful MACs could accumulate freely.  The broadcast service
+        :meth:`reset` runs once per service run, but the broadcast service
         shares one MAC across *every* concurrent message and calls this
         on each injection: models prune whatever bookkeeping is outside
         their interference horizon (stateless models do nothing), so a

@@ -43,13 +43,14 @@ class Packet:
         The sender's 2-hop neighbor set ``N2(sender)`` when the protocol
         piggybacks it (TDP), else ``None``.
     message_id:
-        Which message this copy belongs to.  The legacy single-broadcast
-        engine always uses id 0; the broadcast service keys all dedup and
-        forward-set state by this id so concurrent messages never mix.
+        Which message this copy belongs to (a single broadcast is id 0);
+        the broadcast service keys all dedup and forward-set state by
+        this id so concurrent messages never mix.
     payload_units:
         Abstract payload size carried on top of the control overhead
-        (:class:`~repro.sim.traffic.Message.size_units`); 0 for the
-        legacy path, which keeps its byte counts unchanged.
+        (:class:`~repro.sim.traffic.Message.size_units`); 0 for a plain
+        :func:`~repro.sim.engine.run_broadcast`, whose byte counts are
+        pinned by the single-message goldens.
     expires_at:
         Absolute simulation time after which the message is stale;
         copies delivered past this instant are dropped with

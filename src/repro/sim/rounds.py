@@ -37,7 +37,6 @@ from .events import (
     Transmit,
 )
 from .packet import Packet
-from .trace import TraceRecorder
 
 __all__ = ["round_seed", "run_round_broadcast"]
 
@@ -51,7 +50,7 @@ def round_seed(sequence: int) -> int:
     """The documented default-RNG seed of one :func:`run_round_broadcast`.
 
     ``sha256("run_round_broadcast|{sequence}")`` truncated to 64 bits —
-    the same derivation as :func:`repro.sim.engine.session_seed`, under
+    the same derivation as :func:`repro.sim.service.service_seed`, under
     an executor-specific tag so wave-executor draws never correlate
     with discrete-event backoff streams.  A shared fixed default (the
     old ``Random(0)``) made every default-seeded wave run in a process
@@ -258,7 +257,6 @@ def run_round_broadcast(
 
     delivered = {node for node, count in receipt_counts.items() if count}
     delivered.add(source)
-    events = bus.recorded()
     return BroadcastOutcome(
         source=source,
         forward_nodes=set(forwarded),
@@ -267,10 +265,5 @@ def run_round_broadcast(
         completion_time=float(rounds),
         designations=dict(designations),
         receipt_counts=receipt_counts,
-        events=events,
-        trace=(
-            TraceRecorder.from_events(events)
-            if collect_trace and events is not None
-            else None
-        ),
+        events=bus.recorded(),
     )

@@ -1,9 +1,8 @@
 """The broadcast service: many concurrent messages over one deployment.
 
-The legacy engine (:class:`~repro.sim.engine.BroadcastSession`) runs one
-broadcast to quiescence and throws everything away.  A deployed ad hoc
-network instead carries a *stream* of broadcasts; this module is the
-long-lived execution path for that stream:
+A deployed ad hoc network carries a *stream* of broadcasts; this module
+is the discrete-event executor for that stream (a single broadcast is
+the one-message stream :func:`repro.sim.engine.run_broadcast` runs):
 
 * a :class:`~repro.sim.traffic.TrafficModel` produces the injection
   schedule (who broadcasts, when, payload size, TTL);
@@ -25,13 +24,15 @@ long-lived execution path for that stream:
   ``forward_set_reuses``.
 
 Byte-identity contract: under a one-message
-:class:`~repro.sim.traffic.SingleShot` model the service replays the
-legacy engine's event and RNG order *exactly* — an idle node transmits
-synchronously at its decision instant, the egress queue and transmitter
-busy-window only engage when messages actually overlap, and traffic
-models draw from their own seeded generators, never the decision RNG.
-``benchmarks/bench_traffic.py`` gates this equivalence on every
-configured coverage backend.
+:class:`~repro.sim.traffic.SingleShot` model the service reproduces the
+retired single-message engine's event and RNG order *exactly* — an idle
+node transmits synchronously at its decision instant, the egress queue
+and transmitter busy-window only engage when messages actually overlap,
+and traffic models draw from their own seeded generators, never the
+decision RNG.  That engine's output is frozen in
+``tests/sim/legacy_engine_golden.jsonl``; the service tests and
+``benchmarks/bench_traffic.py`` compare against it on every configured
+coverage backend.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .events import (
 from .mac import IdealMac, MacModel
 from .packet import Packet
 from .scheduler import EventScheduler
-from .trace import TraceRecorder
 from .traffic import Message, TrafficModel
 
 __all__ = [
@@ -94,10 +94,12 @@ _SERVICE_SEQUENCE = itertools.count()
 def service_seed(sequence: int) -> int:
     """The documented default-RNG seed of one :class:`ServiceEngine`.
 
-    ``sha256("ServiceEngine|{sequence}")`` truncated to 64 bits — the
-    same derivation family as :func:`repro.sim.engine.session_seed`,
-    under its own tag so service decision streams never collide with
-    legacy session or traffic-model streams.
+    ``sha256("ServiceEngine|{sequence}")`` truncated to 64 bits.
+    ``sequence`` is a per-process monotone counter, so repeated engines
+    constructed without an explicit RNG draw *different* backoff streams,
+    while any single engine stays reproducible from its sequence number.
+    The tag keeps service decision streams apart from traffic-model
+    streams.
     """
     digest = hashlib.sha256(f"ServiceEngine|{sequence}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -192,11 +194,9 @@ class ServiceOutcome:
         return len(self.messages) / self.completion_time
 
     def single_outcome(self) -> BroadcastOutcome:
-        """Collapse a one-message run into the legacy outcome shape.
+        """Collapse a one-message run into a :class:`BroadcastOutcome`.
 
-        The compatibility bridge behind
-        :func:`repro.sim.engine.run_broadcast`: field-for-field equal to
-        what the deprecated direct :class:`BroadcastSession` produced,
+        The bridge behind :func:`repro.sim.engine.run_broadcast`,
         including the all-nodes (zero-defaulted) receipt-count table.
         """
         if len(self.messages) != 1:
@@ -207,7 +207,6 @@ class ServiceOutcome:
         only = self.messages[0]
         receipt_counts = {node: 0 for node in self.nodes}
         receipt_counts.update(only.receipt_counts)
-        events = self.events
         return BroadcastOutcome(
             source=only.message.source,
             forward_nodes=set(only.forward_nodes),
@@ -217,12 +216,7 @@ class ServiceOutcome:
             designations=dict(only.designations),
             receipt_counts=receipt_counts,
             bytes_transmitted=only.bytes_transmitted,
-            events=events,
-            trace=(
-                TraceRecorder.from_events(events)
-                if events is not None
-                else None
-            ),
+            events=self.events,
             counters=self.counters,
         )
 
@@ -233,8 +227,8 @@ class ServiceEngine:
     Parameters
     ----------
     env, protocol:
-        The deployment and the broadcast algorithm, exactly as for the
-        legacy session; ``protocol.prepare(env)`` must have been called.
+        The deployment and the broadcast algorithm;
+        ``protocol.prepare(env)`` must have been called.
     traffic:
         The :class:`~repro.sim.traffic.TrafficModel` producing the
         injection schedule.
@@ -251,8 +245,17 @@ class ServiceEngine:
     reuse_decisions:
         Serve repeat forward/designate decisions from the cross-message
         cache (only those the protocol gives a decision key).
-    collect_trace / bus / collect_counters:
-        As for the legacy session.
+    collect_trace:
+        Record the typed event stream into ``outcome.events`` (implies a
+        :class:`~repro.sim.events.RecordingBus` when no ``bus`` is given).
+    bus:
+        Event bus receiving the typed :mod:`~repro.sim.events` stream;
+        defaults to the zero-cost :data:`~repro.sim.events.NULL_BUS`.
+        Subscribe *before* :meth:`run` — ``bus.active`` is sampled once
+        at the start of the run.
+    collect_counters:
+        Attach per-run :class:`~repro.instrument.InstrumentationCounters`
+        to ``outcome.counters``.
 
     An engine instance runs once: :meth:`run` drains the schedule (or
     stops at ``horizon``) and returns a :class:`ServiceOutcome`.
@@ -566,7 +569,7 @@ class ServiceEngine:
                 )
             )
         # Sorted delivery order keeps same-time tie-breaks well-defined
-        # (and identical to the legacy engine).
+        # (and identical to the round-synchronous executor).
         neighbors = sorted(self.env.graph.neighbors(node))
         for receiver, arrival in self.mac.deliveries(
             node, now, neighbors, self.rng
@@ -686,8 +689,11 @@ class ServiceEngine:
             return
         if state.decided:
             if state.designators:
-                # Late designation after a non-forward decision (see the
-                # legacy engine for the strict/relaxed rationale).
+                # Late designation after a non-forward decision: the
+                # strict rule forces forwarding; the relaxed rule
+                # re-evaluates at the node's raised (designated, S = 1.5)
+                # priority — its own earlier decision used the lower
+                # threshold and is no longer authoritative.
                 if self.protocol.strict_designation:
                     ctx = self._context(message, receiver)
                     if _COUNTER_STACK:

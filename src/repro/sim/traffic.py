@@ -25,10 +25,10 @@ Three arrival processes cover the classic load shapes:
 * :class:`ZipfTraffic` — Poisson arrivals whose sources follow a Zipf
   rank distribution, modelling a few chatty nodes dominating the load.
 
-:class:`SingleShot` is the degenerate one-message model the
-compatibility wrapper :func:`repro.sim.engine.run_broadcast` uses; the
-service path under ``SingleShot`` is byte-identical to the legacy
-single-broadcast engine (gated in ``benchmarks/bench_traffic.py``).
+:class:`SingleShot` is the degenerate one-message model
+:func:`repro.sim.engine.run_broadcast` uses; the service path under
+``SingleShot`` is pinned against the frozen single-message goldens
+(``tests/sim/legacy_engine_golden.jsonl``).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def traffic_seed(kind: str, seed: int) -> int:
     """The documented RNG seed of one traffic model instance.
 
     ``sha256("TrafficModel|{kind}|{seed}")`` truncated to 64 bits — the
-    same derivation family as :func:`repro.sim.engine.session_seed` and
+    same derivation family as :func:`repro.sim.service.service_seed` and
     :func:`repro.experiments.workload.workload_seed`, under a
     traffic-specific tag so arrival draws never correlate with protocol
     backoff or workload source streams.
@@ -143,7 +143,7 @@ class TrafficModel(ABC):
 
 
 class SingleShot(TrafficModel):
-    """Exactly one message — the legacy single-broadcast workload."""
+    """Exactly one message — a single broadcast."""
 
     kind = "single-shot"
 

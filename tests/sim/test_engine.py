@@ -1,4 +1,4 @@
-"""Tests for the broadcast engine: environment, session mechanics, outcomes."""
+"""Tests for the broadcast engine: environment, mechanics, outcomes."""
 
 import random
 
@@ -10,11 +10,7 @@ from repro.algorithms.generic import GenericSelfPruning
 from repro.core.priority import DegreePriority, IdPriority
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
-from repro.sim.engine import (
-    BroadcastSession,
-    SimulationEnvironment,
-    run_broadcast,
-)
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.sim.mac import CollisionMac, IdealMac
 
 
@@ -60,9 +56,8 @@ class TestFloodingSession:
         assert outcome.delivered == set(range(6))
 
     def test_unknown_source_rejected(self):
-        env = SimulationEnvironment(Topology.path(3))
         with pytest.raises(KeyError):
-            BroadcastSession(env, Flooding(), source=99)
+            run_broadcast(Topology.path(3), Flooding(), source=99)
 
     def test_single_node_graph(self):
         graph = Topology(nodes=[7])
@@ -89,7 +84,7 @@ class TestSnoopingAndTrail:
         outcome = run_broadcast(
             graph, Flooding(), source=0, collect_trace=True
         )
-        kinds = {event.kind for event in outcome.trace}
+        kinds = {event.kind for event in outcome.events}
         assert {"transmit", "receive", "decide"} <= kinds
 
     def test_forward_node_set_is_cds_for_pruning_protocol(self):
@@ -191,9 +186,9 @@ class TestDeterminism:
             env = SimulationEnvironment(net.topology, IdPriority())
             p = GenericSelfPruning(Timing.FIRST_RECEIPT_BACKOFF, hops=2)
             p.prepare(env)
-            return BroadcastSession(
-                env, p, source=0, rng=random.Random(123)
-            ).run()
+            return run_broadcast(
+                net.topology, p, 0, rng=random.Random(123), env=env
+            )
 
         a, b = run_once(), run_once()
         assert a.forward_nodes == b.forward_nodes

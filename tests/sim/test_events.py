@@ -1,5 +1,6 @@
 """Tests for the typed event bus, JSONL round-trip, and golden traces."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from repro.algorithms.generic import GenericSelfPruning
 from repro.core.priority import IdPriority
 from repro.graph.generators import random_connected_network
 from repro.graph.paperfigs import figure1
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.sim.events import (
     NULL_BUS,
     BackoffScheduled,
@@ -110,10 +111,17 @@ def _figure1_outcome():
     env = SimulationEnvironment(figure1().topology, IdPriority())
     protocol = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)
     protocol.prepare(env)
-    return BroadcastSession(
-        env, protocol, 1, rng=random.Random(1), collect_trace=True
-    ).run()
+    return run_broadcast(
+        env.graph, protocol, 1, rng=random.Random(1), collect_trace=True,
+        env=env,
+    )
 
+
+#: sha256 of the Figure 9 sample's event stream, frozen from the retired
+#: single-message engine.
+FIGURE9_SHA256 = (
+    "6b8192679d39fcb8ac5ed5436c8421fd3fc21826994a02c4f9d5f5ab9f863912"
+)
 
 #: The pinned structured trace of the paper's Figure 1 walkthrough:
 #: source u=1 transmits, v=2 and w=3 hear it and (complete graph) both
@@ -142,19 +150,6 @@ class TestGoldenTraces:
         assert events_to_jsonl(outcome.events) == FIGURE1_GOLDEN
         assert sorted(outcome.forward_nodes) == [1]
 
-    def test_figure1_legacy_shim_matches_typed_events(self):
-        outcome = _figure1_outcome()
-        assert outcome.trace.format() == "\n".join(
-            [
-                "[   0.000] decide   node 1 source always forwards",
-                "[   0.000] transmit node 1 designates []",
-                "[   1.000] receive  node 2 from 1",
-                "[   1.000] receive  node 3 from 1",
-                "[   1.000] decide   node 2 non-forward",
-                "[   1.000] decide   node 3 non-forward",
-            ]
-        )
-
     def test_figure9_trace_byte_stable_under_seed(self):
         # The Figure 9 sample network: 100 nodes, average degree 6,
         # seed 9 — same construction as run_fig9_sample.
@@ -165,14 +160,15 @@ class TestGoldenTraces:
             env = SimulationEnvironment(network.topology, IdPriority())
             protocol = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)
             protocol.prepare(env)
-            outcome = BroadcastSession(
-                env, protocol, source,
-                rng=random.Random(11), collect_trace=True,
-            ).run()
+            outcome = run_broadcast(
+                network.topology, protocol, source,
+                rng=random.Random(11), collect_trace=True, env=env,
+            )
             return events_to_jsonl(outcome.events)
 
         first, second = one_run(), one_run()
         assert first == second
         assert events_from_jsonl(first) == events_from_jsonl(second)
         # A 100-node broadcast is a substantial trace, not a stub.
-        assert len(first.splitlines()) > 200
+        assert len(first.splitlines()) == 505
+        assert hashlib.sha256(first.encode()).hexdigest() == FIGURE9_SHA256

@@ -1,12 +1,16 @@
-"""The broadcast service: byte-identity, dedup, and drop properties.
+"""The broadcast service: frozen-golden identity, dedup, and drop properties.
 
-Three 50-seed property suites back the service's contracts:
+Property suites back the service's contracts:
 
-* a one-message :class:`~repro.sim.traffic.SingleShot` run is
-  *byte-identical* to the legacy :class:`~repro.sim.engine.
-  BroadcastSession` — forward sets, delivered sets, receipt counts,
-  completion time and the typed event stream — on every coverage
-  backend (sets, bitset, numpy when installed);
+* a one-message :class:`~repro.sim.traffic.SingleShot` run reproduces
+  the frozen records of the retired single-message engine
+  (``legacy_engine_golden.jsonl``: forward set, completion time, byte
+  count and the sha256 of the typed event stream) on every coverage
+  backend (sets, bitset, numpy when installed) — over a 50-seed matrix
+  and over every registered protocol plus gossip;
+* every registered (deterministic) protocol delivers to all nodes with
+  a forward set that, with the source, is a connected dominating set
+  (the paper's Theorem 1);
 * under concurrent messages, per-message delivery stays duplicate-free:
   each node counts at most one first receipt and transmits each message
   at most once;
@@ -23,13 +27,12 @@ import random
 import pytest
 
 from repro.algorithms.base import Timing
-from repro.algorithms.dominant_pruning import DominantPruning
 from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
-from repro.algorithms.mpr import MultipointRelay
+from repro.graph.cds import is_cds
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
-from repro.sim.events import Deliver, Drop, Transmit, events_to_jsonl
+from repro.sim.engine import SimulationEnvironment
+from repro.sim.events import Deliver, Drop, Transmit
 from repro.sim.service import ServiceEngine, service_seed
 from repro.sim.traffic import (
     Message,
@@ -39,17 +42,22 @@ from repro.sim.traffic import (
     ZipfTraffic,
 )
 
-SEEDS = range(50)
+from .legacy_golden import (
+    REGISTRY_PROTOCOLS,
+    REGISTRY_SEEDS,
+    SERVICE_PROTOCOLS,
+    SERVICE_SEEDS,
+    divergence,
+    registry_case,
+    run_case,
+    service_case,
+)
+
+SEEDS = SERVICE_SEEDS
 
 BACKENDS = ("sets", "bitset", "numpy")
 
-PROTOCOLS = (
-    Flooding,
-    lambda: GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2),
-    lambda: GenericSelfPruning(Timing.FIRST_RECEIPT_BACKOFF, hops=2),
-    DominantPruning,
-    MultipointRelay,
-)
+PROTOCOLS = tuple(SERVICE_PROTOCOLS.values())
 
 
 def _use_backend(monkeypatch, backend: str) -> None:
@@ -77,46 +85,27 @@ def test_single_message_service_is_byte_identical_to_legacy(
     seed, backend, monkeypatch
 ):
     _use_backend(monkeypatch, backend)
-    factory = PROTOCOLS[seed % len(PROTOCOLS)]
-    rng = random.Random(seed)
-    source_seed = rng.randrange(2 ** 32)
+    case = service_case(seed)
+    found = divergence(case, run_case(case))
+    assert found is None, found
 
-    # Independent graphs per run: a shared Topology object would leak
-    # query-cache warmth from the first run into the second.
-    legacy_graph = _deployment(seed)
-    env, protocol = _prepared(legacy_graph, factory)
-    source = random.Random(source_seed).choice(legacy_graph.nodes())
-    legacy = BroadcastSession(
-        env,
-        protocol,
-        source,
-        rng=random.Random(seed ^ 0xDEAD),
-        collect_trace=True,
-        _deprecation_warning=False,
-    ).run()
 
-    service_graph = _deployment(seed)
-    env, protocol = _prepared(service_graph, factory)
-    source = random.Random(source_seed).choice(service_graph.nodes())
-    outcome = ServiceEngine(
-        env,
-        protocol,
-        SingleShot(source),
-        rng=random.Random(seed ^ 0xDEAD),
-        collect_trace=True,
-    ).run()
-    bridged = outcome.single_outcome()
-
-    assert bridged.forward_nodes == legacy.forward_nodes
-    assert bridged.delivered == legacy.delivered
-    assert bridged.transmissions == legacy.transmissions
-    assert bridged.completion_time == legacy.completion_time
-    assert bridged.designations == legacy.designations
-    assert bridged.receipt_counts == legacy.receipt_counts
-    assert bridged.bytes_transmitted == legacy.bytes_transmitted
-    # message_id 0 elides from the payloads, so the event streams are
-    # comparable byte for byte.
-    assert events_to_jsonl(bridged.events) == events_to_jsonl(legacy.events)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(REGISTRY_PROTOCOLS))
+def test_registered_protocols_match_legacy_goldens(name, backend, monkeypatch):
+    _use_backend(monkeypatch, backend)
+    for seed in REGISTRY_SEEDS:
+        case = registry_case(name, seed)
+        outcome = run_case(case)
+        found = divergence(case, outcome)
+        assert found is None, found
+        if name == "gossip":
+            continue  # probabilistic: no coverage guarantee
+        # Theorem 1: full delivery over a CDS of forward nodes + source.
+        assert outcome.delivered == set(case.graph.nodes()), case.case_id
+        assert is_cds(
+            case.graph, outcome.forward_nodes | {case.source}
+        ), case.case_id
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.algorithms.registry import create
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 SEED = 0xD1CE
 N = 30
@@ -30,9 +30,9 @@ def _outcome(deployment, name: str):
     env = SimulationEnvironment(deployment.topology)
     protocol = create(name)
     protocol.prepare(env)
-    return BroadcastSession(
-        env, protocol, source=0, rng=random.Random(SEED)
-    ).run()
+    return run_broadcast(
+        deployment.topology, protocol, 0, rng=random.Random(SEED), env=env
+    )
 
 
 class TestGoldenNetwork:
