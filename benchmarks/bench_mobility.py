@@ -34,12 +34,10 @@ import sys
 import time
 from typing import List, Optional
 
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
 
-from bench_parallel import first_divergence
 from conftest import write_result
 
 from repro.algorithms.precomputed import PrecomputedForwardSet
@@ -52,6 +50,7 @@ from repro.graph.geometry import Area, random_points
 from repro.graph.mobility import RandomWaypointModel
 from repro.graph.unit_disk import range_for_average_degree
 from repro.sim.engine import SimulationEnvironment, run_broadcast
+from tests.divergence import first_divergence
 
 SCHEME = IdPriority()
 TRIALS = 15
@@ -153,10 +152,7 @@ def test_conservative_views_absorb_mobility(benchmark):
 # ----------------------------------------------------------------------
 
 #: Default output location: repo root, next to EXPERIMENTS.md.
-DELTA_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_mobility_delta.json",
-)
+DELTA_OUT = os.path.join(ROOT, "BENCH_mobility_delta.json")
 
 DELTA_N = 100
 DELTA_DEGREE = 6.0
@@ -201,7 +197,7 @@ def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
     """Time incremental vs rebuild sweeps under both coverage backends.
 
     The equivalence gate compares the full per-step payload (forward
-    sets and flip counts) with :func:`bench_parallel.first_divergence`,
+    sets and flip counts) with :func:`tests.divergence.first_divergence`,
     so a failure names the exact step and field that diverged.  A third
     leg replays the same fixture through the sharded driver
     (``shards=(2, 2)``) on a real fork pool — ``identity_jobs`` is at
@@ -243,11 +239,13 @@ def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
             else:
                 os.environ["REPRO_COVERAGE_BACKEND"] = saved
         found = first_divergence(
-            _sweep_payload(rebuild), _sweep_payload(incremental)
+            _sweep_payload(rebuild), _sweep_payload(incremental),
+            "rebuild", "incremental",
         )
         if found is None:
             found = first_divergence(
-                _sweep_payload(rebuild), _sweep_payload(sharded)
+                _sweep_payload(rebuild), _sweep_payload(sharded),
+                "rebuild", "sharded",
             )
             if found is not None:
                 found = f"(sharded leg) {found}"
@@ -325,8 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not record["equivalent"]:
         print(
             "FAIL: equivalence gate — the incremental sweep diverges "
-            "from the full-rebuild oracle; first divergence "
-            "(serial=rebuild, parallel=incremental):\n"
+            "from the full-rebuild oracle; first divergence:\n"
             f"  {record['divergence']}",
             file=sys.stderr,
         )

@@ -24,59 +24,21 @@ import sys
 import time
 from typing import List, Optional
 
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
 
 from repro.experiments.config import RunSettings
 from repro.experiments.export import tables_to_json
 from repro.experiments.figures import fig11_selection
 from repro.experiments.runner import run_figure
+from tests.divergence import first_divergence
 
 #: Default output location: repo root, next to EXPERIMENTS.md.
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_parallel.json",
-)
+DEFAULT_OUT = os.path.join(ROOT, "BENCH_parallel.json")
 
 FULL_NS = (20, 40, 60, 80, 100)
 SMOKE_NS = (15, 20)
-
-
-def first_divergence(serial, parallel, path="$"):
-    """The JSON path of the first byte difference, or ``None`` if equal.
-
-    Walks the two ``tables_to_json`` payloads in lockstep so a gate
-    failure names the exact panel/series/point that diverged instead of
-    only reporting that *something* did.
-    """
-    if type(serial) is not type(parallel):
-        return (
-            f"{path}: type {type(serial).__name__} != "
-            f"{type(parallel).__name__}"
-        )
-    if isinstance(serial, dict):
-        for key in sorted(set(serial) | set(parallel)):
-            if key not in serial:
-                return f"{path}.{key}: only in parallel payload"
-            if key not in parallel:
-                return f"{path}.{key}: only in serial payload"
-            found = first_divergence(serial[key], parallel[key], f"{path}.{key}")
-            if found is not None:
-                return found
-        return None
-    if isinstance(serial, list):
-        if len(serial) != len(parallel):
-            return f"{path}: length {len(serial)} != {len(parallel)}"
-        for index, (left, right) in enumerate(zip(serial, parallel)):
-            found = first_divergence(left, right, f"{path}[{index}]")
-            if found is not None:
-                return found
-        return None
-    if serial != parallel:
-        return f"{path}: serial={serial!r} parallel={parallel!r}"
-    return None
 
 
 def _settings(jobs: int, smoke: bool) -> RunSettings:
@@ -123,7 +85,9 @@ def run_comparison(jobs: int, smoke: bool) -> dict:
 
     serial_payload = tables_to_json(serial_tables)
     identity_payload = tables_to_json(identity_tables)
-    divergence = first_divergence(serial_payload, identity_payload)
+    divergence = first_divergence(
+        serial_payload, identity_payload, "serial", "parallel"
+    )
     speedup = None
     if jobs_effective >= 2 and parallel_seconds:
         speedup = round(serial_seconds / parallel_seconds, 3)
@@ -187,13 +151,15 @@ def test_first_divergence_localises_the_mismatch():
     """The gate's failure message names the first divergent JSON path."""
     serial = {"tables": [{"series": [{"points": [1.0, 2.0]}]}]}
     parallel = {"tables": [{"series": [{"points": [1.0, 2.5]}]}]}
-    assert first_divergence(serial, serial) is None
-    detail = first_divergence(serial, parallel)
+    assert first_divergence(serial, serial, "serial", "parallel") is None
+    detail = first_divergence(serial, parallel, "serial", "parallel")
     assert detail == (
         "$.tables[0].series[0].points[1]: serial=2.0 parallel=2.5"
     )
-    assert "length" in first_divergence([1], [1, 2])
-    assert "only in serial" in first_divergence({"a": 1}, {})
+    assert "length" in first_divergence([1], [1, 2], "serial", "parallel")
+    assert "only in serial" in first_divergence(
+        {"a": 1}, {}, "serial", "parallel"
+    )
 
 
 def test_parallel_matches_serial(benchmark, tmp_path):

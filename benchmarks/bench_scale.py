@@ -18,7 +18,7 @@ n ≈ 1k / 10k / 100k:
   reference included in the identity gate; numpy alone is also timed at
   10k to record forward-set throughput at scale.
 
-Byte-identity gates use :func:`bench_parallel.first_divergence` so a
+Byte-identity gates use :func:`tests.divergence.first_divergence` so a
 failure names the first diverging edge / node instead of only reporting
 that *something* diverged.
 
@@ -45,12 +45,9 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-)
-
-from bench_parallel import first_divergence
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
 
 from repro.algorithms.generic import GenericStatic
 from repro.core.priority import IdPriority
@@ -61,12 +58,10 @@ from repro.graph.unit_disk import (
     range_for_link_count,
 )
 from repro.sim.engine import SimulationEnvironment, run_broadcast
+from tests.divergence import first_divergence
 
 #: Default output location: repo root, next to the other BENCH records.
-DEFAULT_OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_scale.json",
-)
+DEFAULT_OUT = os.path.join(ROOT, "BENCH_scale.json")
 
 #: Random-grid fixtures (occupancy 0.7 of a side x side lattice): the side
 #: lengths put the expected node count at ~1k / ~10k / ~100k.
@@ -158,7 +153,8 @@ def _section_construction(record: dict, sizes: List[str], repeats: int) -> None:
                 else None
             )
             entry["first_divergence"] = first_divergence(
-                _edge_payload(reference), _edge_payload(network)
+                _edge_payload(reference), _edge_payload(network),
+                "pairwise", "grid",
             )
         else:
             entry["pairwise_seconds"] = None
@@ -221,8 +217,10 @@ def _section_broadcast(
     _elapsed, payloads["sets"] = _broadcast(graph, "sets")
     os.environ.pop("REPRO_COVERAGE_BACKEND", None)
     divergence = first_divergence(
-        payloads["sets"], payloads["bitset"]
-    ) or first_divergence(payloads["bitset"], payloads["numpy"])
+        payloads["sets"], payloads["bitset"], "sets", "bitset"
+    ) or first_divergence(
+        payloads["bitset"], payloads["numpy"], "bitset", "numpy"
+    )
     section = {
         "fixture": BROADCAST_AB_SIZE,
         "nodes": graph.node_count(),

@@ -15,7 +15,7 @@ Gates:
 * **identity** (always): every sharded run's per-step payload (forward
   sets and flip counts) must match the serial incremental sweep
   byte-for-byte; a failure names the exact divergent step and field via
-  :func:`bench_parallel.first_divergence`.  The timed runs use
+  :func:`tests.divergence.first_divergence`.  The timed runs use
   ``clamp=True`` (a clamped cell degrades to the in-process
   short-circuit instead of paying pipe overhead for fake parallelism,
   reported as ``clamped: true``), so a dedicated ``identity_runs``
@@ -45,12 +45,9 @@ import sys
 import time
 from typing import List, Optional
 
-sys.path.insert(
-    0,
-    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-)
-
-from bench_parallel import first_divergence
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
 
 from repro.core.priority import DegreePriority
 from repro.experiments.runner import run_trace_sweep
@@ -60,12 +57,10 @@ from repro.graph.geometry import Area, random_points
 from repro.graph.mobility import RandomWaypointModel
 from repro.graph.unit_disk import range_for_average_degree
 from repro.instrument import collecting
+from tests.divergence import first_divergence
 
 #: Default output location: repo root, next to BENCH_mobility_delta.json.
-OUT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_sharded_mobility.json",
-)
+OUT = os.path.join(ROOT, "BENCH_sharded_mobility.json")
 
 SEED = 19
 DEGREE = 6.0
@@ -138,7 +133,9 @@ def run_scaling(smoke: bool) -> dict:
                     trace, scheme=scheme, k=K, shards=grid, jobs=workers
                 )
             seconds = time.perf_counter() - start
-            found = first_divergence(oracle, _payload(sharded))
+            found = first_divergence(
+                oracle, _payload(sharded), "serial", "sharded"
+            )
             key = f"{grid[0]}x{grid[1]}"
             steps_per_sec = steps / seconds if seconds else None
             if workers == 1 and steps_per_sec:
@@ -171,7 +168,6 @@ def run_scaling(smoke: bool) -> dict:
                 "replica_nodes_max": replica_peak,
                 "replica_fraction": round(replica_peak / n, 3) if n else None,
                 "shard_flips_applied": counters.shard_flips_applied,
-                "shard_rehomes": counters.shard_rehomes,
                 "handoff_redecides": sum(
                     s.handoff_redecides for s in sharded
                 ),
@@ -180,16 +176,18 @@ def run_scaling(smoke: bool) -> dict:
             })
 
     # Real fork pools regardless of core count: the wire protocol
-    # (flip routing, local-id stale shipping, re-home delivery) must be
-    # exercised through actual pipes, not just the inline short-circuit
-    # a 1-core box clamps to.
+    # (flip routing, local-id stale shipping) must be exercised through
+    # actual pipes, not just the inline short-circuit a 1-core box
+    # clamps to.
     identity_runs = []
     for grid in GRIDS:
         with collecting() as counters:
             sharded = run_sharded_trace(
                 trace, scheme=scheme, k=K, shards=grid, jobs=2, clamp=False
             )
-        found = first_divergence(oracle, _payload(sharded))
+        found = first_divergence(
+            oracle, _payload(sharded), "serial", "sharded"
+        )
         key = f"{grid[0]}x{grid[1]}"
         if found is not None and divergence is None:
             divergence = f"[identity shards={key} workers=2 fork] {found}"
@@ -205,7 +203,6 @@ def run_scaling(smoke: bool) -> dict:
             "pool": "fork",
             "replica_nodes_max": replica_peak,
             "replica_fraction": round(replica_peak / n, 3) if n else None,
-            "shard_rehomes": counters.shard_rehomes,
             "first_divergence": found,
         })
 
@@ -281,8 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not record["byte_identical"]:
         print(
             "FAIL: identity gate — a sharded run diverges from the "
-            "serial incremental sweep; first divergence "
-            "(serial=serial, parallel=sharded):\n"
+            "serial incremental sweep; first divergence:\n"
             f"  {record['first_divergence']}",
             file=sys.stderr,
         )

@@ -49,10 +49,10 @@ from tests.sim.legacy_golden import (
     TRAFFIC_PROTOCOLS,
     TRAFFIC_SEED,
     divergence,
-    first_divergence,
     run_case,
     traffic_case,
 )
+from tests.divergence import first_divergence
 
 #: Default output location: repo root, next to EXPERIMENTS.md.
 DEFAULT_OUT = os.path.join(ROOT, "BENCH_traffic.json")
@@ -210,11 +210,13 @@ def test_first_divergence_localises_the_mismatch():
     """The gate's failure message names the first divergent JSON path."""
     legacy = {"events": ["a", "b"], "forward_nodes": [1, 2]}
     service = {"events": ["a", "c"], "forward_nodes": [1, 2]}
-    assert first_divergence(legacy, legacy) is None
-    detail = first_divergence(legacy, service)
+    assert first_divergence(legacy, legacy, "legacy", "service") is None
+    detail = first_divergence(legacy, service, "legacy", "service")
     assert detail == "$.events[1]: legacy='b' service='c'"
-    assert "length" in first_divergence([1], [1, 2])
-    assert "only in legacy" in first_divergence({"a": 1}, {})
+    assert "length" in first_divergence([1], [1, 2], "legacy", "service")
+    assert "only in legacy" in first_divergence(
+        {"a": 1}, {}, "legacy", "service"
+    )
 
 
 def test_service_matches_legacy(benchmark):

@@ -78,8 +78,8 @@ def coverage_backend() -> str:
 
     ``bitset`` (default), ``sets``, or ``numpy``.  Read per call so tests
     and A/B benchmarks can flip the environment variable between
-    evaluations; memoised results are keyed by backend, so flipping
-    mid-view is safe.
+    evaluations; every memo key starts with the backend that computed
+    it (see :func:`_memo`), so flipping mid-view is safe.
     """
     backend = os.environ.get("REPRO_COVERAGE_BACKEND", "bitset")
     if backend not in _BACKENDS:
@@ -90,7 +90,7 @@ def coverage_backend() -> str:
     return backend
 
 
-def _memo(view: View, key, compute):
+def _memo(view: View, backend: str, key: tuple, compute):
     """Per-view memoisation for the coverage hot path.
 
     Views are immutable value objects, so any derived quantity — the
@@ -101,8 +101,10 @@ def _memo(view: View, key, compute):
     layer that pays across calls: a shared view evaluated for many
     nodes); the sets and numpy backends memoise their decompositions
     too.  The cache rides on the view instance itself (see
-    :func:`repro.core.views.view_cache`); keys carry the backend name
-    wherever the computation differs per backend.
+    :func:`repro.core.views.view_cache`).  ``backend`` names the backend
+    whose computation ``compute`` runs and is the first element of the
+    stored key, so one backend's entry can never answer another's
+    lookup.
 
     Dirty-awareness comes from ``view_cache`` itself: it stamps the
     cache with the view graph's ``version_stamp()`` and resets it when
@@ -113,6 +115,7 @@ def _memo(view: View, key, compute):
     while the retained view graph stays untouched.
     """
     cache = view_cache(view)
+    key = (backend, key)
     if key not in cache:
         if _COUNTER_STACK:
             _COUNTER_STACK[-1].coverage_memo_misses += 1
@@ -186,7 +189,7 @@ class _MaskBase:
 
 
 def _mask_base(view: View) -> _MaskBase:
-    return _memo(view, ("mask-base",), lambda: _MaskBase(view))
+    return _memo(view, "bitset", ("mask-base",), lambda: _MaskBase(view))
 
 
 def _component_masks(
@@ -352,7 +355,7 @@ def _np_kernel():
 def _np_base(view: View):
     """The per-view word-table context (memoised)."""
     return _memo(
-        view, ("np-base",), lambda: _np_kernel().np_base(view)
+        view, "numpy", ("np-base",), lambda: _np_kernel().np_base(view)
     )
 
 
@@ -364,6 +367,7 @@ def _np_sweep(view: View):
     """
     return _memo(
         view,
+        "numpy",
         ("np-sweep",),
         lambda: _np_kernel().sweep_compute(view, _np_base(view)),
     )
@@ -406,7 +410,8 @@ def _component_reach_sets(
     """Components and neighbor reach under the sets backend (memoised)."""
     return _memo(
         view,
-        ("reach", v, "sets"),
+        "sets",
+        ("reach", v),
         lambda: _component_reach_compute_sets(view, v),
     )
 
@@ -454,13 +459,15 @@ def higher_priority_components(view: View, v: int) -> List[Set[int]]:
     if backend == "sets":
         return _memo(
             view,
-            ("components", v, "sets"),
+            "sets",
+            ("components", v),
             lambda: _components_compute_sets(view, v),
         )
     if backend == "numpy":
         return _memo(
             view,
-            ("components", v, "numpy"),
+            "numpy",
+            ("components", v),
             lambda: _np_kernel().components_compute(view, _np_base(view), v),
         )
     base = _mask_base(view)
@@ -488,7 +495,8 @@ def uncovered_pairs(view: View, v: int) -> List[Tuple[int, int]]:
     if backend == "sets":
         return _memo(
             view,
-            ("uncovered", v, "sets"),
+            "sets",
+            ("uncovered", v),
             lambda: _uncovered_pairs_compute_sets(view, v),
         )
     if backend == "numpy":
@@ -616,7 +624,8 @@ def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
     backend = coverage_backend()
     return _memo(
         view,
-        ("span", v, max_intermediates, backend),
+        backend,
+        ("span", v, max_intermediates),
         lambda: _span_compute(view, v, max_intermediates, backend),
     )
 

@@ -111,8 +111,9 @@ class InstrumentationCounters:
     #: partial-replica bound was exercised rather than silently
     #: bypassed by a full copy.
     replica_nodes_max: int = 0
-    #: Dynamic re-partitions: step boundaries where the parent re-split
-    #: the shard grid and shipped fresh subgraph snapshots.
+    #: Always 0: the sharded driver pins its grid for the whole sweep.
+    #: It stays because ``perfbench`` reports it as the
+    #: ``sharded.rehomes`` layer metric that BENCHMARK.json declares.
     shard_rehomes: int = 0
     # sim/hello.py
     hello_messages: int = 0

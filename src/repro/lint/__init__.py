@@ -4,9 +4,8 @@ The repro's headline guarantees (Theorem 1/2 correctness under per-node
 local views; byte-identical sweep results at any ``--jobs N`` and either
 ``REPRO_COVERAGE_BACKEND``) hinge on coding invariants that no runtime
 test can enforce exhaustively: no unordered iteration feeding ordered
-decisions, no ambient RNG or wall-clock reads in simulation paths,
-epoch-guarded cache mutation, and backend-qualified memo keys.  This
-package enforces them statically::
+decisions, no ambient RNG or wall-clock reads in simulation paths, and
+epoch-guarded cache mutation.  This package enforces them statically::
 
     python -m repro.lint src tests benchmarks
     python -m repro.lint --check-baseline --jobs 4

@@ -11,7 +11,7 @@ byte-identical whatever ``--jobs`` value produced it.
 
 ``# detlint:`` pragma comments:
 
-``# detlint: disable=DET001,DET004``
+``# detlint: disable=DET001,DET005``
     Suppress the named rules on the line the pragma appears on.  For a
     pragma on a continuation line of a multi-line statement, the
     suppression also covers the statement's first line (where findings

@@ -12,7 +12,7 @@ stdlib-only, fast, and free of import-time side effects.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set
 
 from .findings import Finding
 from .registry import LintContext, Rule, path_parts, register
@@ -398,74 +398,6 @@ class CacheMutationRule(Rule):
 
 
 @register
-class MemoKeyBackendRule(Rule):
-    """DET004: coverage memo keys shared across backends must say which."""
-
-    code = "DET004"
-    name = "memo-key-backend-qualifier"
-    description = (
-        "A _memo() key tag used at more than one call site in "
-        "core/coverage.py must carry the backend qualifier ('bitset' / "
-        "'sets' / 'numpy' literal or the backend variable) in its key "
-        "tuple — otherwise flipping REPRO_COVERAGE_BACKEND mid-view "
-        "serves one backend's cached value to the other."
-    )
-
-    QUALIFIERS = frozenset({"bitset", "sets", "numpy"})
-
-    def applies_to(self, path: str) -> bool:
-        parts = path_parts(path)
-        return parts[-1:] == ("coverage.py",) and "tests" not in parts
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        sites: List[Tuple[str, ast.Call, ast.Tuple]] = []
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "_memo"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Tuple)
-            ):
-                key = node.args[1]
-                tag = self._leading_tag(key)
-                if tag is not None:
-                    sites.append((tag, node, key))
-        counts: dict = {}
-        for tag, _node, _key in sites:
-            counts[tag] = counts.get(tag, 0) + 1
-        for tag, node, key in sites:
-            if counts[tag] >= 2 and not self._qualified(key):
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"memo key tag {tag!r} is used at {counts[tag]} call "
-                    "sites but this key omits the backend qualifier; add "
-                    "'bitset'/'sets'/'numpy' (or the backend variable) to "
-                    "the tuple",
-                )
-
-    @staticmethod
-    def _leading_tag(key: ast.Tuple) -> Optional[str]:
-        if key.elts and isinstance(key.elts[0], ast.Constant):
-            value = key.elts[0].value
-            if isinstance(value, str):
-                return value
-        return None
-
-    def _qualified(self, key: ast.Tuple) -> bool:
-        for element in key.elts:
-            if (
-                isinstance(element, ast.Constant)
-                and element.value in self.QUALIFIERS
-            ):
-                return True
-            if isinstance(element, ast.Name) and element.id == "backend":
-                return True
-        return False
-
-
-@register
 class FrozenEventRule(Rule):
     """DET005: event dataclasses must be frozen."""
 
@@ -837,7 +769,7 @@ class ShardStateIntegrityRule(Rule):
         "_subgraph/_global_nodes/_local_of partial-replica state "
         "(including the local<->global id mapping) of a foreign "
         "instance, and calls to the private worker internals "
-        "(_sync_replica, _redecide, _rehome, _install) on a foreign "
+        "(_sync_replica, _redecide) on a foreign "
         "receiver; route work through run_sharded_mobility_sweep / "
         "run_sharded_trace instead."
     )
@@ -846,9 +778,7 @@ class ShardStateIntegrityRule(Rule):
         {"_replica", "_shard_metrics", "_subgraph", "_global_nodes",
          "_local_of"}
     )
-    PRIVATE_API = frozenset(
-        {"_sync_replica", "_redecide", "_rehome", "_install"}
-    )
+    PRIVATE_API = frozenset({"_sync_replica", "_redecide"})
     #: The dict/set mutators plus the topology mutators: calling
     #: e.g. ``sub._subgraph.add_edge(...)`` from outside desynchronises
     #: the replica from the induced global graph exactly like

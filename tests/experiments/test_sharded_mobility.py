@@ -8,6 +8,8 @@ seeds cover all 27 combinations several times over without a 1350-case
 matrix.
 """
 
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from repro.experiments import (
     run_sharded_trace,
     run_trace_sweep,
 )
+from repro.experiments import sharded as sharded_module
 from repro.experiments.sharded import _route_flips
 from repro.graph import (
     Area,
@@ -248,11 +251,6 @@ def test_random_epoch_scheme_rejected_on_partial_replicas():
         )
 
 
-def test_bad_rehome_factor_rejected():
-    with pytest.raises(ValueError, match="rehome_factor"):
-        run_sharded_mobility_sweep(_model(7), 2, 1.0, rehome_factor=0.5)
-
-
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_counters_jobs_invariant_and_serial_equal(jobs):
     trace = record_flip_trace(_model(21), 6, 1.0)
@@ -291,7 +289,7 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
 
 
 # ----------------------------------------------------------------------
-# Dynamic re-homing: a skewed trace forces a mid-run re-partition
+# Skewed load: every flip lands in one shard
 # ----------------------------------------------------------------------
 
 
@@ -299,8 +297,7 @@ def _skewed_trace(toggles: int = 4) -> FlipTrace:
     """A 13-node chain whose flips all hit the left end.
 
     Every flip toggles the (0, 1) link, so the whole dirty load lands
-    in the left shard of a (2, 1) grid — the max/mean skew a re-home
-    exists to fix.
+    in the left shard of a (2, 1) grid while the right shard idles.
     """
     positions = {i: Point(0.5 + i, 0.5) for i in range(13)}
     steps = [FlipStep(step=0, time=1.0, added=(), removed=())]
@@ -318,42 +315,60 @@ def _skewed_trace(toggles: int = 4) -> FlipTrace:
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_rehome_fires_and_preserves_identity(jobs):
+def test_skewed_trace_matches_serial(jobs):
     trace = _skewed_trace()
     scheme = DegreePriority()
     serial = run_trace_sweep(trace, scheme=scheme, k=2)
-    with collecting() as counters:
-        sharded = run_sharded_trace(
-            trace, scheme=scheme, k=2, shards=(2, 1), jobs=jobs,
-            clamp=False, rehome_factor=1.5,
-        )
-    assert _payload(serial) == _payload(sharded)
-    rehomed_steps = [s.step for s in sharded if s.rehomed]
-    # The first loaded window (step 1: dirty nodes 0..3, all owned by
-    # the left shard) trips the 1.5x skew gate and moves the split;
-    # the identical skew afterwards reproduces the same weighted split,
-    # so the re-home fires exactly once.
-    assert rehomed_steps == [1]
-    assert counters.shard_rehomes == 1
-
-
-def test_rehome_schedule_is_jobs_invariant():
-    trace = _skewed_trace()
-    scheme = DegreePriority()
-    flags = []
-    for jobs in (1, 2, 4):
-        sharded = run_sharded_trace(
-            trace, scheme=scheme, k=2, shards=(2, 1), jobs=jobs,
-            clamp=False, rehome_factor=1.5,
-        )
-        flags.append(tuple(s.rehomed for s in sharded))
-    assert flags[0] == flags[1] == flags[2]
-
-
-def test_rehome_disabled_with_none():
-    trace = _skewed_trace()
     sharded = run_sharded_trace(
-        trace, scheme=DegreePriority(), k=2, shards=(2, 1),
-        rehome_factor=None,
+        trace, scheme=scheme, k=2, shards=(2, 1), jobs=jobs, clamp=False
     )
-    assert not any(s.rehomed for s in sharded)
+    assert _payload(serial) == _payload(sharded)
+    assert [s.redecided for s in sharded] == [s.redecided for s in serial]
+
+
+# ----------------------------------------------------------------------
+# Fault injection: a shard worker process dies
+# ----------------------------------------------------------------------
+
+
+def _dying_worker_main(answered: int, mid_step: bool):
+    """A worker loop in which worker 1 of a 2-worker pool exits with
+    code 3 after answering ``answered`` steps — holding the next step
+    unanswered when ``mid_step``, before receiving it otherwise.
+    Worker 0 runs the real loop."""
+    real = sharded_module._shard_worker_main
+
+    def main(conn, subgraphs, scheme, k):
+        if 1 not in subgraphs:
+            return real(conn, subgraphs, scheme, k)
+        worker = sharded_module._ShardWorker(subgraphs, scheme, k)
+        for _ in range(answered):
+            step, payloads = conn.recv()
+            conn.send((step, worker.apply_step(payloads), {}))
+        if mid_step:
+            conn.recv()
+        os._exit(3)
+
+    return main
+
+
+@pytest.mark.parametrize(
+    "answered, mid_step, step",
+    [(0, True, 0), (1, False, 1)],
+    ids=["mid-step", "between-steps"],
+)
+def test_dead_worker_raises_named_error(monkeypatch, answered, mid_step, step):
+    monkeypatch.setattr(
+        sharded_module,
+        "_shard_worker_main",
+        _dying_worker_main(answered, mid_step),
+    )
+    trace = record_flip_trace(_model(21), 4, 1.0)
+    with pytest.raises(
+        RuntimeError,
+        match=rf"^shard worker 1 died at step {step} \(exitcode=3\)$",
+    ):
+        run_sharded_trace(
+            trace, DegreePriority(), k=2, shards=(2, 2), jobs=2, clamp=False
+        )
+    assert multiprocessing.active_children() == []

@@ -21,7 +21,6 @@ CASES = {
     "DET001": ("det001", "src/repro/algorithms/sample.py", 4),
     "DET002": ("det002", "src/repro/sim/sample.py", 5),
     "DET003": ("det003", "src/repro/experiments/sample.py", 3),
-    "DET004": ("det004", "src/repro/core/coverage.py", 2),
     "DET005": ("det005", "src/repro/sim/events.py", 3),
     "DET006": ("det006", "src/repro/experiments/sample.py", 3),
     "DET007": ("det007", "src/repro/metrics/sample.py", 2),

@@ -45,6 +45,8 @@ from repro.sim.engine import (
 )
 from repro.sim.events import events_to_jsonl
 
+from ..divergence import first_divergence
+
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "legacy_engine_golden.jsonl"
 )
@@ -165,38 +167,6 @@ def load_golden() -> Dict[str, Dict]:
     return {record["case"]: record for record in records}
 
 
-def first_divergence(legacy, service, path: str = "$") -> Optional[str]:
-    """The JSON path of the first difference, or ``None`` if equal."""
-    if type(legacy) is not type(service):
-        return (
-            f"{path}: type {type(legacy).__name__} != "
-            f"{type(service).__name__}"
-        )
-    if isinstance(legacy, dict):
-        for key in sorted(set(legacy) | set(service)):
-            if key not in legacy:
-                return f"{path}.{key}: only in service payload"
-            if key not in service:
-                return f"{path}.{key}: only in legacy payload"
-            found = first_divergence(
-                legacy[key], service[key], f"{path}.{key}"
-            )
-            if found is not None:
-                return found
-        return None
-    if isinstance(legacy, list):
-        if len(legacy) != len(service):
-            return f"{path}: length {len(legacy)} != {len(service)}"
-        for index, (left, right) in enumerate(zip(legacy, service)):
-            found = first_divergence(left, right, f"{path}[{index}]")
-            if found is not None:
-                return found
-        return None
-    if legacy != service:
-        return f"{path}: legacy={legacy!r} service={service!r}"
-    return None
-
-
 def divergence(case: Case, outcome: BroadcastOutcome) -> Optional[str]:
     """Compare a service run of ``case`` with its frozen record.
 
@@ -206,5 +176,7 @@ def divergence(case: Case, outcome: BroadcastOutcome) -> Optional[str]:
     expected = load_golden().get(case.case_id)
     if expected is None:
         return f"{case.case_id}: no frozen record"
-    found = first_divergence(expected, golden_record(case, outcome))
+    found = first_divergence(
+        expected, golden_record(case, outcome), "legacy", "service"
+    )
     return None if found is None else f"{case.case_id} {found}"
