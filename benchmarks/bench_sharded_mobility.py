@@ -10,6 +10,12 @@ the perf trajectory is tracked across PRs::
     PYTHONPATH=src python benchmarks/bench_sharded_mobility.py
     PYTHONPATH=src python benchmarks/bench_sharded_mobility.py --smoke
 
+Timing: full mode times the serial sweep and every cell three times
+(smoke mode once), interleaving the serial runs with the cells; each
+row records the min and median seconds, and its steps/sec, ``speedup``
+(over the grid's 1-worker cell) and ``serial_ratio`` (serial seconds
+over cell seconds) all come from the mins.
+
 Gates:
 
 * **identity** (always): every sharded run's per-step payload (forward
@@ -41,6 +47,7 @@ import argparse
 import json
 import os
 import random
+import statistics
 import sys
 import time
 from typing import List, Optional
@@ -68,6 +75,9 @@ FULL_N = 10_000
 FULL_STEPS = 10
 SMOKE_N = 400
 SMOKE_STEPS = 5
+#: Timed runs per leg (serial sweep and every cell), interleaved.
+FULL_REPEATS = 3
+SMOKE_REPEATS = 1
 GRIDS = ((2, 2), (4, 2))
 WORKERS = (1, 2, 4)
 K = 2
@@ -105,75 +115,102 @@ def _payload(steps) -> list:
 
 
 def run_scaling(smoke: bool) -> dict:
-    """Time every (grid, workers) cell against the serial sweep."""
+    """Time every (grid, workers) cell against the serial sweep.
+
+    Each leg runs ``repeats`` times, the serial sweep interleaved with
+    the cells so drift in machine load hits every leg alike; rows carry
+    the min and median seconds, and rates and ratios come from the mins.
+    """
     n = SMOKE_N if smoke else FULL_N
     steps = SMOKE_STEPS if smoke else FULL_STEPS
+    repeats = SMOKE_REPEATS if smoke else FULL_REPEATS
     cores = os.cpu_count() or 1
     scheme = DegreePriority()
     trace = _record_trace(n, steps)
     flips = sum(entry.flip_count for entry in trace.steps)
+    cells = [(grid, workers) for grid in GRIDS for workers in WORKERS]
 
-    start = time.perf_counter()
-    serial = run_trace_sweep(trace, scheme=scheme, k=K)
-    serial_seconds = time.perf_counter() - start
-    oracle = _payload(serial)
-
-    runs = []
-    divergence = None
-    replica_bound_violations = []
-    baseline = {}  # grid key -> 1-worker steps/sec
-    for grid in GRIDS:
-        shard_count = grid[0] * grid[1]
-        for workers in WORKERS:
-            effective = min(workers, shard_count, cores)
-            clamped = effective < workers
+    oracle = None
+    serial_times: List[float] = []
+    cell_times = {cell: [] for cell in cells}
+    cell_found = {}
+    cell_first = {}  # cell -> (counters, steps) of its first run
+    for _repeat in range(repeats):
+        start = time.perf_counter()
+        serial = run_trace_sweep(trace, scheme=scheme, k=K)
+        serial_times.append(time.perf_counter() - start)
+        if oracle is None:
+            oracle = _payload(serial)
+        for cell in cells:
+            grid, workers = cell
             start = time.perf_counter()
             with collecting() as counters:
                 sharded = run_sharded_trace(
                     trace, scheme=scheme, k=K, shards=grid, jobs=workers
                 )
-            seconds = time.perf_counter() - start
+            cell_times[cell].append(time.perf_counter() - start)
             found = first_divergence(
                 oracle, _payload(sharded), "serial", "sharded"
             )
-            key = f"{grid[0]}x{grid[1]}"
-            steps_per_sec = steps / seconds if seconds else None
-            if workers == 1 and steps_per_sec:
-                baseline[key] = steps_per_sec
-            # A clamped cell measures the short-circuit, not the pool:
-            # no speedup claim, the clamped flag explains the row.
-            speedup = None
-            if not clamped and steps_per_sec and baseline.get(key):
-                speedup = round(steps_per_sec / baseline[key], 3)
-            if found is not None and divergence is None:
-                divergence = f"[shards={key} workers={workers}] {found}"
-            replica_peak = counters.replica_nodes_max
-            if not smoke and shard_count > 1 and replica_peak >= n:
-                replica_bound_violations.append(
-                    f"shards={key} workers={workers}: "
-                    f"replica_nodes_max={replica_peak} == n={n}"
-                )
-            runs.append({
-                "shards": key,
-                "workers": workers,
-                "workers_effective": effective,
-                "clamped": clamped,
-                "seconds": round(seconds, 3),
-                "steps_per_sec": round(steps_per_sec, 3)
-                if steps_per_sec else None,
-                "speedup": speedup,
-                # Per-worker peak memory proxy: the largest partial
-                # replica any shard held, as nodes and as a fraction
-                # of the deployment.
-                "replica_nodes_max": replica_peak,
-                "replica_fraction": round(replica_peak / n, 3) if n else None,
-                "shard_flips_applied": counters.shard_flips_applied,
-                "handoff_redecides": sum(
-                    s.handoff_redecides for s in sharded
-                ),
-                "boundary_flips": sum(s.boundary_flips for s in sharded),
-                "first_divergence": found,
-            })
+            if cell_found.get(cell) is None:
+                cell_found[cell] = found
+            cell_first.setdefault(cell, (counters, sharded))
+
+    serial_seconds = min(serial_times)
+    runs = []
+    divergence = None
+    replica_bound_violations = []
+    baseline = {}  # grid key -> 1-worker steps/sec
+    for cell in cells:
+        grid, workers = cell
+        shard_count = grid[0] * grid[1]
+        effective = min(workers, shard_count, cores)
+        clamped = effective < workers
+        seconds = min(cell_times[cell])
+        found = cell_found[cell]
+        counters, sharded = cell_first[cell]
+        key = f"{grid[0]}x{grid[1]}"
+        steps_per_sec = steps / seconds if seconds else None
+        if workers == 1 and steps_per_sec:
+            baseline[key] = steps_per_sec
+        # A clamped cell measures the short-circuit, not the pool:
+        # no speedup claim, the clamped flag explains the row.
+        speedup = None
+        if not clamped and steps_per_sec and baseline.get(key):
+            speedup = round(steps_per_sec / baseline[key], 3)
+        if found is not None and divergence is None:
+            divergence = f"[shards={key} workers={workers}] {found}"
+        replica_peak = counters.replica_nodes_max
+        if not smoke and shard_count > 1 and replica_peak >= n:
+            replica_bound_violations.append(
+                f"shards={key} workers={workers}: "
+                f"replica_nodes_max={replica_peak} == n={n}"
+            )
+        runs.append({
+            "shards": key,
+            "workers": workers,
+            "workers_effective": effective,
+            "clamped": clamped,
+            "seconds_min": round(seconds, 3),
+            "seconds_median": round(statistics.median(cell_times[cell]), 3),
+            "steps_per_sec": round(steps_per_sec, 3)
+            if steps_per_sec else None,
+            "speedup": speedup,
+            # Above 1.0 the cell beat the serial sweep's best run.
+            "serial_ratio": round(serial_seconds / seconds, 3)
+            if seconds else None,
+            # Per-worker peak memory proxy: the largest partial
+            # replica any shard held, as nodes and as a fraction
+            # of the deployment.
+            "replica_nodes_max": replica_peak,
+            "replica_fraction": round(replica_peak / n, 3) if n else None,
+            "shard_flips_applied": counters.shard_flips_applied,
+            "handoff_redecides": sum(
+                s.handoff_redecides for s in sharded
+            ),
+            "boundary_flips": sum(s.boundary_flips for s in sharded),
+            "first_divergence": found,
+        })
 
     # Real fork pools regardless of core count: the wire protocol
     # (flip routing, local-id stale shipping) must be exercised through
@@ -237,7 +274,9 @@ def run_scaling(smoke: bool) -> dict:
         "scheme": "degree",
         "k": K,
         "cpu_count": cores,
-        "serial_seconds": round(serial_seconds, 3),
+        "repeats": repeats,
+        "serial_seconds_min": round(serial_seconds, 3),
+        "serial_seconds_median": round(statistics.median(serial_times), 3),
         "serial_steps_per_sec": round(steps / serial_seconds, 3)
         if serial_seconds else None,
         "runs": runs,

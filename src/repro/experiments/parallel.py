@@ -1,60 +1,67 @@
-"""Process-parallel experiment harness.
+"""The point executor shared by every seeded sweep.
 
-Figure sweeps repeat every ``(protocol, n, d)`` point until the paper's
-90%-confidence ±1% stopping rule is met; the points are mutually
-independent, so they fan out over a ``multiprocessing`` pool.  Three
-properties make the pool safe to use for reproduction work:
+A sweep is a grid of mutually independent measurement points: the
+figure harness measures ``(protocol, n, d)`` points under the paper's
+90%-confidence ±1% stopping rule (:func:`repro.experiments.runner.
+run_figure`), the traffic sweep ``(protocol, offered rate)`` points
+(:func:`repro.experiments.traffic.run_traffic_sweep`).  Callers hand
+:func:`run_points` an ordered list of picklable task tuples and a
+measure function; the executor returns ``{task: DataPoint}`` and the
+caller assembles its tables in spec order, so completion order never
+leaks into results.  Three properties make the fan-out safe to use for
+reproduction work:
 
 * **Order-independent determinism** — every point seeds its own
-  ``random.Random`` from a ``sha256(seed|panel|label|n|degree)`` digest
-  (:func:`repro.experiments.runner.point_seed`), so the assembled
-  :class:`~repro.metrics.results.ResultTable` is byte-identical at any
-  worker count, including the ``jobs=1`` in-process serial fallback.
+  ``random.Random`` from a sha256 digest of its coordinates
+  (:func:`repro.experiments.runner.point_seed`,
+  :func:`repro.experiments.traffic.traffic_point_seed`), so the
+  assembled :class:`~repro.metrics.results.ResultTable` is
+  byte-identical at any worker count, including ``jobs=1``.
 * **Crash recovery** — a point whose worker raises (or whose worker
-  process dies, breaking the pool) is re-dispatched once, serially in the
-  parent; a second failure surfaces as a structured
-  :class:`PointFailure` naming the panel, series, n, and degree.
+  process dies, breaking the pool) is re-dispatched once, serially in
+  the parent; a second failure surfaces as the caller's structured
+  failure (:class:`PointFailure` for figures), chained to the retry's
+  exception and carrying the worker's traceback.
 * **Pickle-safe progress** — workers only ship ``(task, DataPoint)``
   tuples of plain ints and floats back to the parent; the parent renders
   progress messages and invokes the (unpicklable) callback itself.
-  Instrumentation counters (``settings.instrument``) ride inside each
-  shipped ``DataPoint`` as a plain dict, collected per point in whichever
-  process measured it — merging per-point counters therefore gives
-  exactly the serial totals at any worker count.
+  Instrumentation counters ride inside each shipped ``DataPoint`` as a
+  plain dict, collected per point in whichever process measured it —
+  merging per-point counters therefore gives exactly the serial totals
+  at any worker count.
 
-Worker processes are created with the ``fork`` start method: protocol
-factories in :class:`~repro.experiments.config.SeriesSpec` are typically
-lambdas, which cannot be pickled but are inherited through ``fork`` for
-free.  On platforms without ``fork`` the harness degrades to the serial
-path (reporting so through the progress callback) rather than failing.
+Worker processes are created with the ``fork`` start method: the
+measure function is installed by the pool initializer and inherited,
+never pickled, so it may close over lambda protocol factories.  On
+platforms without ``fork`` the executor degrades to the serial loop
+(reporting so through the progress callback) rather than failing.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import random
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
-from ..metrics.results import DataPoint, ResultTable, Series
-from .config import FigureSpec, PanelSpec, RunSettings
-from .runner import measure_point, point_seed
+from ..metrics.results import DataPoint
 
-__all__ = [
-    "PointFailure",
-    "run_panel_parallel",
-    "run_figure_parallel",
-]
+__all__ = ["PointFailure", "fork_context", "run_points"]
 
-#: One unit of work: indices into the panel list and its series, plus n.
-#: Kept as a plain tuple so it crosses the process boundary trivially.
-_Task = Tuple[int, int, int]
+Task = TypeVar("Task", bound=Hashable)
 
 
 class PointFailure(RuntimeError):
-    """A measurement point failed twice (original dispatch plus one retry).
+    """A figure point failed twice (original dispatch plus one retry).
 
     Carries enough structure to re-run the point by hand; the underlying
     exception is chained as ``__cause__`` and its traceback preserved in
@@ -80,120 +87,69 @@ class PointFailure(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-# Worker-side state, installed by the pool initializer.  Under the fork
-# start method the initializer arguments are inherited, never pickled, so
-# panels may hold lambda protocol factories.
-_WORKER_PANELS: Optional[Sequence[PanelSpec]] = None
-_WORKER_SETTINGS: Optional[RunSettings] = None
+# Worker-side measure function, installed by the pool initializer.
+# Under the fork start method the initializer arguments are inherited,
+# never pickled, so the function may close over lambdas.
+_WORKER_MEASURE: Optional[Callable[[Hashable], DataPoint]] = None
 
 
-def _init_worker(panels: Sequence[PanelSpec], settings: RunSettings) -> None:
-    global _WORKER_PANELS, _WORKER_SETTINGS
-    _WORKER_PANELS = panels
-    _WORKER_SETTINGS = settings
+def _init_worker(measure: Callable[[Hashable], DataPoint]) -> None:
+    global _WORKER_MEASURE
+    _WORKER_MEASURE = measure
 
 
-def _measure_task(
-    task: _Task, panels: Sequence[PanelSpec], settings: RunSettings
-) -> DataPoint:
-    """Measure one point — the same code path in workers and the parent."""
-    panel_index, series_index, n = task
-    panel = panels[panel_index]
-    spec = panel.series[series_index]
-    rng = random.Random(
-        point_seed(settings.seed, panel.title, spec.label, n, panel.degree)
-    )
-    return measure_point(spec, n, panel.degree, settings, rng)
+def _worker_measure(task: Hashable) -> Tuple[Hashable, DataPoint]:
+    assert _WORKER_MEASURE is not None
+    return task, _WORKER_MEASURE(task)
 
 
-def _worker_measure(task: _Task) -> Tuple[_Task, DataPoint]:
-    assert _WORKER_PANELS is not None and _WORKER_SETTINGS is not None
-    return task, _measure_task(task, _WORKER_PANELS, _WORKER_SETTINGS)
-
-
-def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
+def fork_context() -> Optional[multiprocessing.context.BaseContext]:
+    """The ``fork`` multiprocessing context, or ``None`` on platforms
+    without it (callers then degrade to an in-process path)."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return None
 
 
-def _progress_message(
-    panel: PanelSpec, series_index: int, n: int, point: DataPoint
-) -> str:
-    spec = panel.series[series_index]
-    return (
-        f"{panel.title} / {spec.label}: n={n} "
-        f"mean={point.mean:.2f} (+-{point.half_width:.2f}, "
-        f"{point.samples} runs)"
-    )
+def run_points(
+    tasks: Sequence[Task],
+    measure: Callable[[Task], DataPoint],
+    jobs: int,
+    describe: Callable[[Task, DataPoint], str],
+    failure: Callable[[Task, str], Exception],
+    progress: Optional[Callable[[str], None]] = None,
+) -> Dict[Task, DataPoint]:
+    """Measure every task, over ``jobs`` fork workers when ``jobs > 1``.
 
-
-def _retry_serially(
-    task: _Task,
-    panels: Sequence[PanelSpec],
-    settings: RunSettings,
-    first_error: BaseException,
-) -> DataPoint:
-    """Second (and last) dispatch of a failed point, in the parent."""
-    try:
-        return _measure_task(task, panels, settings)
-    except Exception as exc:
-        panel_index, series_index, n = task
-        panel = panels[panel_index]
-        raise PointFailure(
-            panel_title=panel.title,
-            label=panel.series[series_index].label,
-            n=n,
-            degree=panel.degree,
-            worker_traceback="".join(
-                traceback.format_exception(
-                    type(first_error), first_error, first_error.__traceback__
-                )
-            ),
-        ) from exc
-
-
-def _measure_points(
-    panels: Sequence[PanelSpec],
-    settings: RunSettings,
-    progress: Optional[Callable[[str], None]],
-) -> Dict[_Task, DataPoint]:
-    """Measure every point of every panel, possibly in parallel.
-
-    Returns a task-to-point mapping; table assembly afterwards follows
-    spec order, so completion order never leaks into results.
+    ``describe(task, point)`` renders a finished point's progress line
+    (in the parent); ``failure(task, worker_traceback)`` builds the
+    exception raised when a point fails in a worker and again on its
+    serial re-dispatch.  Without a pool (``jobs == 1``, or no ``fork``)
+    points run in task order and a point's own exception propagates
+    unchanged.
     """
-    tasks: List[_Task] = [
-        (panel_index, series_index, n)
-        for panel_index, panel in enumerate(panels)
-        for series_index in range(len(panel.series))
-        for n in panel.ns
-    ]
-    results: Dict[_Task, DataPoint] = {}
+    results: Dict[Task, DataPoint] = {}
 
-    context = _fork_context() if settings.jobs > 1 else None
+    def report(task: Task, point: DataPoint, suffix: str = "") -> None:
+        results[task] = point
+        if progress is not None:
+            progress(describe(task, point) + suffix)
+
+    context = fork_context() if jobs > 1 else None
     if context is None:
-        if settings.jobs > 1 and progress is not None:
+        if jobs > 1 and progress is not None:
             progress("fork start method unavailable; running points serially")
         for task in tasks:
-            results[task] = _measure_task(task, panels, settings)
-            if progress is not None:
-                panel_index, series_index, n = task
-                progress(
-                    _progress_message(
-                        panels[panel_index], series_index, n, results[task]
-                    )
-                )
+            report(task, measure(task))
         return results
 
-    workers = min(settings.jobs, len(tasks)) or 1
-    failed_once: List[Tuple[_Task, BaseException]] = []
+    failed_once: List[Tuple[Task, BaseException]] = []
     with ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(jobs, len(tasks)) or 1,
         mp_context=context,
         initializer=_init_worker,
-        initargs=(panels, settings),
+        initargs=(measure,),
     ) as pool:
         pending = {pool.submit(_worker_measure, task): task for task in tasks}
         while pending:
@@ -206,65 +162,18 @@ def _measure_points(
                     # every pending future): queue the single retry.
                     failed_once.append((task, error))
                     continue
-                returned_task, point = future.result()
-                results[returned_task] = point
-                if progress is not None:
-                    panel_index, series_index, n = returned_task
-                    progress(
-                        _progress_message(
-                            panels[panel_index], series_index, n, point
-                        )
-                    )
+                report(*future.result())
     for task, error in failed_once:
-        point = _retry_serially(task, panels, settings, error)
-        results[task] = point
-        if progress is not None:
-            panel_index, series_index, n = task
-            progress(
-                _progress_message(panels[panel_index], series_index, n, point)
-                + " [re-dispatched]"
-            )
+        try:
+            point = measure(task)
+        except Exception as exc:
+            raise failure(
+                task,
+                "".join(
+                    traceback.format_exception(
+                        type(error), error, error.__traceback__
+                    )
+                ),
+            ) from exc
+        report(task, point, " [re-dispatched]")
     return results
-
-
-def _assemble_tables(
-    panels: Sequence[PanelSpec], results: Dict[_Task, DataPoint]
-) -> List[ResultTable]:
-    tables: List[ResultTable] = []
-    for panel_index, panel in enumerate(panels):
-        table = ResultTable(
-            title=panel.title, x_label="n", y_label="forward nodes"
-        )
-        for series_index, spec in enumerate(panel.series):
-            series = Series(label=spec.label)
-            for n in panel.ns:
-                series.add(results[(panel_index, series_index, n)])
-            table.add_series(series)
-        tables.append(table)
-    return tables
-
-
-def run_panel_parallel(
-    panel: PanelSpec,
-    settings: RunSettings,
-    progress: Optional[Callable[[str], None]] = None,
-) -> ResultTable:
-    """Run one panel with its points fanned out over ``settings.jobs``
-    worker processes; byte-identical to the serial run."""
-    results = _measure_points([panel], settings, progress)
-    return _assemble_tables([panel], results)[0]
-
-
-def run_figure_parallel(
-    figure: FigureSpec,
-    settings: RunSettings,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[ResultTable]:
-    """Run a whole figure over one shared worker pool.
-
-    All panels' points enter the same queue, so a slow panel cannot
-    serialise the sweep; tables come back in panel order regardless of
-    completion order.
-    """
-    results = _measure_points(list(figure.panels), settings, progress)
-    return _assemble_tables(list(figure.panels), results)

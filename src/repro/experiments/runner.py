@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import BroadcastProtocol
 from ..core.coverage import coverage_condition
@@ -30,6 +31,7 @@ from ..metrics.results import DataPoint, ResultTable, Series
 from ..metrics.stats import repeat_until_confident
 from ..sim.engine import SimulationEnvironment, run_broadcast
 from .config import FigureSpec, PanelSpec, RunSettings, SeriesSpec
+from .parallel import PointFailure, run_points
 
 __all__ = [
     "CoverageViolation",
@@ -138,6 +140,86 @@ def measure_point(
     )
 
 
+#: One figure point: indices into the panel list and its series, plus n.
+#: A plain tuple, so it crosses the process boundary trivially.
+_PanelTask = Tuple[int, int, int]
+
+
+def _measure_panel_point(
+    panels: Sequence[PanelSpec], settings: RunSettings, task: _PanelTask
+) -> DataPoint:
+    panel_index, series_index, n = task
+    panel = panels[panel_index]
+    spec = panel.series[series_index]
+    # One RNG per point keeps every (series, n) measurement independent
+    # and order-agnostic, whichever process measures it.
+    rng = random.Random(
+        point_seed(settings.seed, panel.title, spec.label, n, panel.degree)
+    )
+    return measure_point(spec, n, panel.degree, settings, rng)
+
+
+def _describe_panel_point(
+    panels: Sequence[PanelSpec], task: _PanelTask, point: DataPoint
+) -> str:
+    panel_index, series_index, n = task
+    panel = panels[panel_index]
+    return (
+        f"{panel.title} / {panel.series[series_index].label}: n={n} "
+        f"mean={point.mean:.2f} (+-{point.half_width:.2f}, "
+        f"{point.samples} runs)"
+    )
+
+
+def _panel_point_failure(
+    panels: Sequence[PanelSpec], task: _PanelTask, worker_traceback: str
+) -> PointFailure:
+    panel_index, series_index, n = task
+    panel = panels[panel_index]
+    return PointFailure(
+        panel_title=panel.title,
+        label=panel.series[series_index].label,
+        n=n,
+        degree=panel.degree,
+        worker_traceback=worker_traceback,
+    )
+
+
+def _run_panels(
+    panels: Sequence[PanelSpec],
+    settings: RunSettings,
+    progress: Optional[Callable[[str], None]],
+) -> List[ResultTable]:
+    """Measure every point of every panel through one executor call,
+    then assemble the tables in spec order."""
+    tasks: List[_PanelTask] = [
+        (panel_index, series_index, n)
+        for panel_index, panel in enumerate(panels)
+        for series_index in range(len(panel.series))
+        for n in panel.ns
+    ]
+    results = run_points(
+        tasks,
+        partial(_measure_panel_point, panels, settings),
+        settings.jobs,
+        partial(_describe_panel_point, panels),
+        partial(_panel_point_failure, panels),
+        progress,
+    )
+    tables: List[ResultTable] = []
+    for panel_index, panel in enumerate(panels):
+        table = ResultTable(
+            title=panel.title, x_label="n", y_label="forward nodes"
+        )
+        for series_index, spec in enumerate(panel.series):
+            series = Series(label=spec.label)
+            for n in panel.ns:
+                series.add(results[(panel_index, series_index, n)])
+            table.add_series(series)
+        tables.append(table)
+    return tables
+
+
 def run_panel(
     panel: PanelSpec,
     settings: RunSettings,
@@ -145,38 +227,12 @@ def run_panel(
 ) -> ResultTable:
     """Run every series of a panel over its node-count sweep.
 
-    With ``settings.jobs > 1`` the points fan out over a process pool;
-    the result is byte-identical to the serial run because every point
-    seeds its own RNG via :func:`point_seed`.
+    With ``settings.jobs > 1`` the points fan out over a process pool
+    (:func:`repro.experiments.parallel.run_points`); the result is
+    byte-identical to the serial run because every point seeds its own
+    RNG via :func:`point_seed`.
     """
-    if settings.jobs > 1:
-        from .parallel import run_panel_parallel
-
-        return run_panel_parallel(panel, settings, progress)
-    table = ResultTable(
-        title=panel.title,
-        x_label="n",
-        y_label="forward nodes",
-    )
-    for spec in panel.series:
-        series = Series(label=spec.label)
-        for n in panel.ns:
-            # One RNG per point keeps every (series, n) measurement
-            # independent and order-agnostic — the same seeds the
-            # parallel harness hands its workers.
-            rng = random.Random(
-                point_seed(settings.seed, panel.title, spec.label, n, panel.degree)
-            )
-            point = measure_point(spec, n, panel.degree, settings, rng)
-            series.add(point)
-            if progress is not None:
-                progress(
-                    f"{panel.title} / {spec.label}: n={n} "
-                    f"mean={point.mean:.2f} (+-{point.half_width:.2f}, "
-                    f"{point.samples} runs)"
-                )
-        table.add_series(series)
-    return table
+    return _run_panels([panel], settings, progress)[0]
 
 
 def run_figure(
@@ -186,16 +242,12 @@ def run_figure(
 ) -> List[ResultTable]:
     """Run every panel of a figure.
 
-    With ``settings.jobs > 1`` all points of all panels share one process
-    pool (see :mod:`repro.experiments.parallel`); output is byte-identical
-    to the serial run at any worker count.
+    With ``settings.jobs > 1`` all points of all panels enter one shared
+    process pool, so a slow panel cannot serialise the sweep; tables
+    come back in panel order and are byte-identical to the serial run at
+    any worker count.
     """
-    settings = settings or RunSettings()
-    if settings.jobs > 1:
-        from .parallel import run_figure_parallel
-
-        return run_figure_parallel(figure, settings, progress)
-    return [run_panel(panel, settings, progress) for panel in figure.panels]
+    return _run_panels(list(figure.panels), settings or RunSettings(), progress)
 
 
 @dataclass(frozen=True)

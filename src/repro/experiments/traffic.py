@@ -20,20 +20,19 @@ derives its decision RNG from ``sha256("TrafficSweep|seed|label|rate")``
 (:func:`traffic_point_seed`) and its arrival schedule from the traffic
 model's own seeded generator, so the assembled
 :class:`~repro.metrics.results.ResultTable` is byte-identical at any
-``jobs`` count.  Points fan out over a ``fork`` process pool (protocol
-factories may be lambdas — inherited, never pickled); a point that fails
-in a worker is re-dispatched once serially before surfacing as
+``jobs`` count.  Points fan out through the figure harness's executor
+(:func:`~repro.experiments.parallel.run_points`: a ``fork`` pool, so
+protocol factories may be lambdas); a point that fails in a worker is
+re-dispatched once serially before surfacing as
 :class:`TrafficPointFailure`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import random
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import BroadcastProtocol
@@ -48,6 +47,7 @@ from ..sim.service import (
     ServiceEngine,
 )
 from ..sim.traffic import PoissonTraffic
+from .parallel import run_points
 
 __all__ = [
     "TrafficSweepConfig",
@@ -161,7 +161,6 @@ def _measure_point(
         rng=random.Random(traffic_point_seed(config.seed, label, rate) ^ 1),
         queue_capacity=config.queue_capacity,
         tx_time_per_unit=config.tx_time_per_unit,
-        collect_counters=config.collect_counters,
     )
     if config.collect_counters:
         with collecting() as counters:
@@ -191,108 +190,26 @@ def _measure_point(
     )
 
 
-# Worker-side state, installed by the pool initializer (inherited through
-# fork, never pickled — protocol factories may be lambdas).
-_WORKER_GRAPH: Optional[Topology] = None
-_WORKER_PROTOCOLS: Optional[Sequence[ProtocolSpec]] = None
-_WORKER_CONFIG: Optional[TrafficSweepConfig] = None
-
-
-def _init_worker(
-    graph: Topology,
-    protocols: Sequence[ProtocolSpec],
-    config: TrafficSweepConfig,
-) -> None:
-    global _WORKER_GRAPH, _WORKER_PROTOCOLS, _WORKER_CONFIG
-    _WORKER_GRAPH = graph
-    _WORKER_PROTOCOLS = protocols
-    _WORKER_CONFIG = config
-
-
-def _worker_measure(task: _Task) -> Tuple[_Task, DataPoint]:
-    assert (
-        _WORKER_GRAPH is not None
-        and _WORKER_PROTOCOLS is not None
-        and _WORKER_CONFIG is not None
-    )
-    return task, _measure_point(
-        _WORKER_GRAPH, _WORKER_PROTOCOLS, _WORKER_CONFIG, task
+def _describe_point(
+    protocols: Sequence[ProtocolSpec], task: _Task, point: DataPoint
+) -> str:
+    return (
+        f"{protocols[task[0]][0]}: rate={point.x:g} "
+        f"goodput={point.mean:.4f} ({point.samples} messages)"
     )
 
 
-def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-
-
-def _measure_all(
-    graph: Topology,
+def _point_failure(
     protocols: Sequence[ProtocolSpec],
     config: TrafficSweepConfig,
-    progress: Optional[Callable[[str], None]],
-) -> Dict[_Task, DataPoint]:
-    tasks: List[_Task] = [
-        (series_index, rate_index)
-        for series_index in range(len(protocols))
-        for rate_index in range(len(config.rates))
-    ]
-    results: Dict[_Task, DataPoint] = {}
-
-    def report(task: _Task, point: DataPoint) -> None:
-        if progress is None:
-            return
-        label = protocols[task[0]][0]
-        progress(
-            f"{label}: rate={point.x:g} goodput={point.mean:.4f} "
-            f"({point.samples} messages)"
-        )
-
-    context = _fork_context() if config.jobs > 1 else None
-    if context is None:
-        if config.jobs > 1 and progress is not None:
-            progress("fork start method unavailable; running points serially")
-        for task in tasks:
-            results[task] = _measure_point(graph, protocols, config, task)
-            report(task, results[task])
-        return results
-
-    workers = min(config.jobs, len(tasks)) or 1
-    failed_once: List[Tuple[_Task, BaseException]] = []
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_init_worker,
-        initargs=(graph, protocols, config),
-    ) as pool:
-        pending = {pool.submit(_worker_measure, task): task for task in tasks}
-        while pending:
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for future in done:
-                task = pending.pop(future)
-                error = future.exception()
-                if error is not None:
-                    failed_once.append((task, error))
-                    continue
-                returned_task, point = future.result()
-                results[returned_task] = point
-                report(returned_task, point)
-    for task, error in failed_once:
-        try:
-            results[task] = _measure_point(graph, protocols, config, task)
-        except Exception as exc:
-            raise TrafficPointFailure(
-                label=protocols[task[0]][0],
-                rate=config.rates[task[1]],
-                worker_traceback="".join(
-                    traceback.format_exception(
-                        type(error), error, error.__traceback__
-                    )
-                ),
-            ) from exc
-        report(task, results[task])
-    return results
+    task: _Task,
+    worker_traceback: str,
+) -> TrafficPointFailure:
+    return TrafficPointFailure(
+        label=protocols[task[0]][0],
+        rate=config.rates[task[1]],
+        worker_traceback=worker_traceback,
+    )
 
 
 def run_traffic_sweep(
@@ -309,7 +226,19 @@ def run_traffic_sweep(
     """
     if not protocols:
         raise ValueError("protocols must be non-empty")
-    results = _measure_all(graph, protocols, config, progress)
+    tasks: List[_Task] = [
+        (series_index, rate_index)
+        for series_index in range(len(protocols))
+        for rate_index in range(len(config.rates))
+    ]
+    results = run_points(
+        tasks,
+        partial(_measure_point, graph, protocols, config),
+        config.jobs,
+        partial(_describe_point, protocols),
+        partial(_point_failure, protocols, config),
+        progress,
+    )
     table = ResultTable(
         title=(
             f"Broadcast service saturation (n={graph.node_count()}, "

@@ -58,19 +58,13 @@ __all__ = ["ShardAssignment", "ShardGrid", "ShardSubgraph"]
 class ShardAssignment:
     """A pinned node-to-shard routing table.
 
-    ``owner`` maps every node to the single shard whose core block
-    contains its (clamped) cell; ``routed`` maps every node to the
-    sorted tuple of all shards whose core + halo contains it — the
-    shards that re-decide the node when it turns dirty.  ``owner[v]`` is
-    always a member of ``routed[v]``.
+    ``routed`` maps every node to the sorted tuple of all shards whose
+    core + halo contains it — the shards that re-decide the node when it
+    turns dirty.  It always includes the node's
+    :meth:`ShardGrid.owner_of` shard.
     """
 
-    owner: Dict[int, int]
     routed: Dict[int, Tuple[int, ...]]
-
-    def handoff_width(self, node: int) -> int:
-        """How many shards beyond the first re-decide ``node``."""
-        return len(self.routed[node]) - 1
 
 
 class ShardGrid:
@@ -198,36 +192,15 @@ class ShardGrid:
                     hit.append(by * sx + bx)
         return tuple(hit)
 
-    def core_bounds(self, sid: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """Inclusive absolute cell bounds ``((cx0, cy0), (cx1, cy1))`` of
-        shard ``sid``'s core block (``cx1 < cx0`` for zero-width blocks).
-        """
-        if not 0 <= sid < self.shard_count:
-            raise ValueError(f"shard id out of range: {sid}")
-        by, bx = divmod(sid, self.shape[0])
-        return (
-            (
-                self._min_cx + self._x_starts[bx],
-                self._min_cy + self._y_starts[by],
-            ),
-            (
-                self._min_cx + self._x_starts[bx + 1] - 1,
-                self._min_cy + self._y_starts[by + 1] - 1,
-            ),
-        )
-
     def assign(self, positions: Dict[int, Point]) -> ShardAssignment:
-        """Pin every node's owner and routed-shard tuple from ``positions``.
+        """Pin every node's routed-shard tuple from ``positions``.
 
         Iterates ``positions`` in insertion order, so the resulting
-        tables are byte-stable for a given deployment.
+        table is byte-stable for a given deployment.
         """
-        owner: Dict[int, int] = {}
-        routed: Dict[int, Tuple[int, ...]] = {}
-        for node, p in positions.items():
-            owner[node] = self.owner_of(p)
-            routed[node] = self.touching(p)
-        return ShardAssignment(owner=owner, routed=routed)
+        return ShardAssignment(
+            routed={node: self.touching(p) for node, p in positions.items()}
+        )
 
 
 class ShardSubgraph:

@@ -24,9 +24,7 @@ Observability: every step is published as a typed
 :class:`~repro.sim.events.SimEvent` on the run's
 :class:`~repro.sim.events.EventBus` (``collect_trace=True`` records them
 into ``BroadcastOutcome.events``), and work counters flow into the active
-:func:`repro.instrument.collecting` scope — ``collect_counters=True``
-attaches a per-run :class:`~repro.instrument.InstrumentationCounters` to
-the outcome.
+:func:`repro.instrument.collecting` scope.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from ..core import status as st
 from ..core.priority import PriorityScheme, IdPriority
 from ..core.views import CompiledView, View
 from ..graph.topology import Topology
-from ..instrument import InstrumentationCounters
 from .events import EventBus, SimEvent
 from .mac import MacModel
 from .packet import Packet
@@ -226,8 +223,6 @@ class BroadcastOutcome:
     bytes_transmitted: int = 0
     #: Typed event trace (``collect_trace=True``), in emission order.
     events: Optional[List[SimEvent]] = None
-    #: Per-run work counters (``collect_counters=True``).
-    counters: Optional[InstrumentationCounters] = None
 
     @property
     def forward_count(self) -> int:
@@ -390,7 +385,6 @@ def run_broadcast(
     mac: Optional[MacModel] = None,
     collect_trace: bool = False,
     bus: Optional[EventBus] = None,
-    collect_counters: bool = False,
     env: Optional[SimulationEnvironment] = None,
 ) -> BroadcastOutcome:
     """One broadcast of ``protocol`` from ``source``.
@@ -423,6 +417,5 @@ def run_broadcast(
         mac=mac,
         collect_trace=collect_trace,
         bus=bus,
-        collect_counters=collect_counters,
     )
     return engine.run().single_outcome()

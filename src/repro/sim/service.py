@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from ..algorithms.base import BroadcastProtocol, NodeContext
-from ..instrument import InstrumentationCounters, collecting
 from ..instrument import _STACK as _COUNTER_STACK
 from .engine import (
     BroadcastOutcome,
@@ -165,8 +164,6 @@ class ServiceOutcome:
     forward_set_reuses: int = 0
     #: Typed event trace (``collect_trace=True``), in emission order.
     events: Optional[List[SimEvent]] = None
-    #: Per-run work counters (``collect_counters=True``).
-    counters: Optional[InstrumentationCounters] = None
 
     @property
     def delivered_count(self) -> int:
@@ -217,7 +214,6 @@ class ServiceOutcome:
             receipt_counts=receipt_counts,
             bytes_transmitted=only.bytes_transmitted,
             events=self.events,
-            counters=self.counters,
         )
 
 
@@ -253,9 +249,6 @@ class ServiceEngine:
         defaults to the zero-cost :data:`~repro.sim.events.NULL_BUS`.
         Subscribe *before* :meth:`run` — ``bus.active`` is sampled once
         at the start of the run.
-    collect_counters:
-        Attach per-run :class:`~repro.instrument.InstrumentationCounters`
-        to ``outcome.counters``.
 
     An engine instance runs once: :meth:`run` drains the schedule (or
     stops at ``horizon``) and returns a :class:`ServiceOutcome`.
@@ -273,7 +266,6 @@ class ServiceEngine:
         reuse_decisions: bool = True,
         collect_trace: bool = False,
         bus: Optional[EventBus] = None,
-        collect_counters: bool = False,
     ) -> None:
         if tx_time_per_unit < 0:
             raise ValueError(
@@ -300,7 +292,6 @@ class ServiceEngine:
         self.bus = bus
         self._bus_on = bus.active
         self._collect_trace = collect_trace
-        self._collect_counters = collect_counters
         self._tables: Dict[int, MessageTable] = {
             node: MessageTable(node, queue_capacity)
             for node in env.graph.nodes()
@@ -351,13 +342,8 @@ class ServiceEngine:
             self._designations[message.message_id] = {}
             self._bytes[message.message_id] = 0
             self._drops[message.message_id] = {}
-        counters: Optional[InstrumentationCounters] = None
-        if self._collect_counters:
-            with collecting() as counters:
-                self._execute(schedule, horizon)
-        else:
-            self._execute(schedule, horizon)
-        return self._assemble(counters)
+        self._execute(schedule, horizon)
+        return self._assemble()
 
     def _execute(
         self, schedule: List[Message], horizon: Optional[float]
@@ -384,9 +370,7 @@ class ServiceEngine:
             default=0,
         )
 
-    def _assemble(
-        self, counters: Optional[InstrumentationCounters]
-    ) -> ServiceOutcome:
+    def _assemble(self) -> ServiceOutcome:
         nodes = tuple(self.env.graph.nodes())
         node_count = len(nodes)
         outcomes: List[MessageOutcome] = []
@@ -415,7 +399,6 @@ class ServiceEngine:
             messages_dropped=self._messages_dropped,
             forward_set_reuses=self._forward_set_reuses,
             events=self.bus.recorded(),
-            counters=counters,
         )
 
     # ------------------------------------------------------------------

@@ -14,11 +14,7 @@ from repro.algorithms.generic import GenericSelfPruning
 from repro.experiments.config import PanelSpec, RunSettings, SeriesSpec
 from repro.experiments.export import tables_to_json
 from repro.experiments.figures import fig16_backoff
-from repro.experiments.parallel import (
-    PointFailure,
-    run_figure_parallel,
-    run_panel_parallel,
-)
+from repro.experiments.parallel import PointFailure
 from repro.experiments.runner import run_figure, run_panel
 
 FAST = dict(min_runs=4, max_runs=6, relative_half_width=0.5, seed=7)
@@ -99,7 +95,7 @@ class TestCrashRecovery:
     def test_worker_crash_is_redispatched_once(self):
         panel = _panel(_worker_only_bomb)
         messages = []
-        table = run_panel_parallel(
+        table = run_panel(
             panel, RunSettings(**FAST, jobs=2), progress=messages.append
         )
         # Every point failed in its worker, was retried in the parent, and
@@ -111,7 +107,7 @@ class TestCrashRecovery:
     def test_persistent_failure_surfaces_structured_error(self):
         panel = _panel(_always_bomb, ns=(15,))
         with pytest.raises(PointFailure) as excinfo:
-            run_panel_parallel(panel, RunSettings(**FAST, jobs=2))
+            run_panel(panel, RunSettings(**FAST, jobs=2))
         failure = excinfo.value
         assert failure.panel_title == "parallel test panel"
         assert failure.label == "FR"
@@ -127,7 +123,7 @@ class TestProgressReporting:
         # that must never cross the process boundary.
         messages = []
         figure = fig16_backoff(ns=[15], degrees=[6.0])
-        run_figure_parallel(
+        run_figure(
             figure, RunSettings(**FAST, jobs=2), progress=messages.append
         )
         assert len(messages) == 4  # two hop panels x two series x one n

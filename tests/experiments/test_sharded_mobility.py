@@ -272,7 +272,6 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
     invariant = (
         "shard_flips_applied",
         "replica_nodes_max",
-        "shard_rehomes",
         "shard_redecides",
         "shard_handoff_redecides",
         "shard_boundary_flips",
@@ -280,6 +279,9 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
     )
     for field in invariant:
         assert getattr(counters, field) == getattr(base_counters, field), field
+    # Nothing re-homes shards any more; the counter stays only because
+    # perfbench still reports it.
+    assert counters.shard_rehomes == 0
     # Owner-only shipping evaluates each stale node exactly once, so
     # coverage work equals the serial sweep's.
     assert counters.coverage_evaluations == (

@@ -37,13 +37,9 @@ class TestShardGridGeometry:
         positions = _positions()
         grid = ShardGrid(positions, 12.0, shape=(2, 2), halo_cells=1)
         assignment = grid.assign(positions)
-        assert set(assignment.owner) == set(positions)
         assert set(assignment.routed) == set(positions)
-        for node in positions:
-            assert assignment.owner[node] in assignment.routed[node]
-            assert assignment.handoff_width(node) == (
-                len(assignment.routed[node]) - 1
-            )
+        for node, p in positions.items():
+            assert grid.owner_of(p) in assignment.routed[node]
 
     def test_single_shard_routes_everything_to_zero(self):
         positions = _positions()
@@ -55,23 +51,23 @@ class TestShardGridGeometry:
     def test_core_blocks_partition_the_bounding_box(self):
         positions = _positions()
         grid = ShardGrid(positions, 12.0, shape=(3, 2), halo_cells=0)
-        seen = set()
-        for sid in range(grid.shard_count):
-            (cx0, cy0), (cx1, cy1) = grid.core_bounds(sid)
-            for cx in range(cx0, cx1 + 1):
-                for cy in range(cy0, cy1 + 1):
-                    assert (cx, cy) not in seen, "core blocks overlap"
-                    seen.add((cx, cy))
-        spanx = grid._max_cx - grid._min_cx + 1
-        spany = grid._max_cy - grid._min_cy + 1
-        assert len(seen) == spanx * spany
-
-    def test_core_bounds_rejects_bad_sid(self):
-        grid = ShardGrid(_positions(), 12.0, shape=(2, 2))
-        with pytest.raises(ValueError):
-            grid.core_bounds(4)
-        with pytest.raises(ValueError):
-            grid.core_bounds(-1)
+        side = grid.cell_size
+        blocks = {}
+        # Every cell of the bounding box has exactly one owner (the
+        # centre point of the cell asks owner_of)...
+        for cx in range(grid._min_cx, grid._max_cx + 1):
+            for cy in range(grid._min_cy, grid._max_cy + 1):
+                centre = Point((cx + 0.5) * side, (cy + 0.5) * side)
+                blocks.setdefault(grid.owner_of(centre), set()).add((cx, cy))
+        # ...every shard owns some cells, and each shard's cells fill a
+        # solid rectangle: the core blocks tile the box.
+        assert sorted(blocks) == list(range(grid.shard_count))
+        for cells in blocks.values():
+            xs = [cx for cx, _cy in cells]
+            ys = [cy for _cx, cy in cells]
+            width = max(xs) - min(xs) + 1
+            height = max(ys) - min(ys) + 1
+            assert len(cells) == width * height, "core block not a rectangle"
 
     def test_zero_halo_means_no_handoff(self):
         positions = _positions()
@@ -90,7 +86,7 @@ class TestShardGridGeometry:
     def test_empty_positions_degenerate_grid(self):
         grid = ShardGrid({}, 10.0, shape=(2, 2), halo_cells=1)
         assert grid.shard_count == 4
-        assert grid.assign({}).owner == {}
+        assert grid.assign({}).routed == {}
         # Every point clamps into the single (0, 0) cell; with more
         # blocks than cells, the zero-width runs are skipped.
         assert grid.owner_of(Point(55.0, 5.0)) == 0
